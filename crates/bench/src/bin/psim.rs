@@ -118,13 +118,15 @@ fn open_mapped(path: &str) -> Option<MappedTrace> {
 /// Serializes a capture in the selected format (`2` = MPTRACE2, default).
 fn write_capture(trace: &Trace, out: &str, format: u64) -> Result<(), String> {
     let f = File::create(out).map_err(|e| format!("create {out}: {e}"))?;
-    let w = BufWriter::new(f);
-    match format {
-        1 => trace_io::write_trace(trace, w),
-        2 => trace_io::write_trace2(trace, w),
+    let mut w = BufWriter::new(f);
+    let written = match format {
+        1 => trace_io::write_trace(trace, &mut w),
+        2 => trace_io::write_trace2(trace, &mut w),
         other => return Err(format!("unknown --format {other}; use 1 or 2")),
-    }
-    .map_err(|e| format!("write {out}: {e}"))
+    };
+    // Flush explicitly: dropping the writer would discard the error of
+    // writing out its last buffer.
+    written.and_then(|()| w.flush()).map_err(|e| format!("write {out}: {e}"))
 }
 
 fn config_from(args: &Args, model: Model) -> Result<AnalysisConfig, String> {
@@ -195,7 +197,10 @@ fn splice_obsv(json: String, prefix: &str) -> String {
 
 fn cmd_capture(args: &Args) -> Result<u64, String> {
     let queue = args.get("--queue").unwrap_or("cwl");
-    let threads = args.num("--threads", 1)? as u32;
+    let threads = match args.num("--threads", 1)? {
+        0 => return Err("--threads must be at least 1".into()),
+        n => u32::try_from(n).map_err(|_| format!("--threads {n} is too large"))?,
+    };
     let inserts = args.num("--inserts", 100)?;
     let seed = args.num("--seed", 42)?;
     let capacity = args.num("--capacity", (threads as u64 * inserts).next_power_of_two().max(64))?;

@@ -172,6 +172,35 @@ fn errors_are_reported_cleanly() {
 }
 
 #[test]
+fn capture_rejects_zero_threads() {
+    let trace = tmp("zero-threads.trace");
+    let _ = std::fs::remove_file(&trace);
+    let out = psim()
+        .args(["capture", "--queue", "cwl", "--threads", "0", "--out", &trace])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "--threads 0 must fail");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads must be at least 1"));
+    assert!(!std::path::Path::new(&trace).exists(), "no trace is written");
+}
+
+/// A trace smaller than the write buffer reaches the disk only when the
+/// buffer is flushed, so a full disk must surface there as an error.
+#[cfg(target_os = "linux")]
+#[test]
+fn capture_reports_write_errors_on_full_disk() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = psim()
+        .args(["capture", "--queue", "cwl", "--inserts", "3", "--out", "/dev/full"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "a failed write must exit nonzero");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("write /dev/full"));
+}
+
+#[test]
 fn help_prints_usage() {
     let out = psim().arg("--help").output().expect("run");
     assert!(out.status.success());

@@ -2,8 +2,10 @@
 
 use crate::rng::SmallRng;
 use crate::ThreadId;
-use std::collections::BTreeSet;
-use std::sync::{Condvar, Mutex};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Thread;
 
 /// Decides when each simulated thread may perform its next traced
 /// operation.
@@ -40,21 +42,42 @@ impl Scheduler for FreeRunScheduler {
     }
 }
 
-struct SeededState {
-    runnable: BTreeSet<u32>,
-    granted: Option<u32>,
-    rng: SmallRng,
+/// `SeededScheduler::granted` value while no thread holds the turn.
+const NO_GRANT: u32 = u32::MAX;
+
+/// Grant polls a waiter makes with `spin_loop` between them before it
+/// starts yielding its core: enough to catch a handoff from a holder
+/// running on another core (about a microsecond), short enough not to
+/// starve a holder that shares this core.
+const SPIN_POLLS: u32 = 16;
+
+/// `yield_now` calls a waiter makes, checking the grant after each, before
+/// it parks. On an idle core a yield returns at once, so this extends the
+/// poll to roughly ten microseconds, which covers most handoffs between
+/// two threads; when threads outnumber cores it lets the holder run.
+/// Parking after that stops a waiter that is many grants away from
+/// burning a core. Both budgets were sized on 2-thread and 4-thread CWL
+/// captures on a 2-core host: shorter polls send most 2-thread handoffs
+/// through a futex wake, and spinning for thousands of polls makes the
+/// 4-thread capture several times slower than parking.
+const YIELD_POLLS: u32 = 16;
+
+/// A registered thread's park slot: the holder that grants it the turn
+/// unparks it only if it went to sleep.
+#[derive(Default)]
+struct Slot {
+    /// Set (SeqCst) before the sleeper's last grant check and read (SeqCst)
+    /// by the granter after its grant store — a Dekker pair, so either the
+    /// sleeper sees the grant or the granter sees the sleeper.
+    asleep: AtomicBool,
+    /// The OS thread parked on this slot.
+    thread: Mutex<Option<Thread>>,
 }
 
-impl SeededState {
-    fn pick_next(&mut self) {
-        self.granted = if self.runnable.is_empty() {
-            None
-        } else {
-            let n = self.rng.gen_index(self.runnable.len());
-            self.runnable.iter().nth(n).copied()
-        };
-    }
+struct SeededState {
+    /// Runnable threads in id order, each with its park slot.
+    runnable: BTreeMap<u32, Arc<Slot>>,
+    rng: SmallRng,
 }
 
 /// Deterministic seeded interleaving: exactly one thread holds the turn at
@@ -64,9 +87,16 @@ impl SeededState {
 /// Given the same seed and per-thread-deterministic workloads, the captured
 /// trace is identical across runs — the property the test suite and the
 /// figure harnesses rely on.
+///
+/// The grant lives in an atomic. Only the turn holder draws the next
+/// grant, so the RNG is consumed at fixed points (one draw per turn, per
+/// `unregister` and on the first `register`) whatever the host timing.
+/// A waiter spins, then yields, then parks; the holder wakes only the
+/// thread it granted, and only when that thread is another one that is
+/// asleep.
 pub struct SeededScheduler {
+    granted: AtomicU32,
     state: Mutex<SeededState>,
-    cv: Condvar,
 }
 
 impl std::fmt::Debug for SeededScheduler {
@@ -79,80 +109,167 @@ impl SeededScheduler {
     /// Creates a scheduler with the given RNG seed.
     pub fn new(seed: u64) -> Self {
         SeededScheduler {
+            granted: AtomicU32::new(NO_GRANT),
             state: Mutex::new(SeededState {
-                runnable: BTreeSet::new(),
-                granted: None,
+                runnable: BTreeMap::new(),
                 rng: SmallRng::seed_from_u64(seed),
             }),
-            cv: Condvar::new(),
+        }
+    }
+
+    fn lock_state(&self) -> MutexGuard<'_, SeededState> {
+        // Nothing panics while holding the lock, so poisoning shows a bug.
+        self.state.lock().expect("scheduler state lock poisoned")
+    }
+
+    fn is_granted(&self, tid: u32) -> bool {
+        self.granted.load(Ordering::Acquire) == tid
+    }
+
+    /// Blocks until `tid` holds the turn.
+    fn wait_turn(&self, tid: u32) {
+        for _ in 0..SPIN_POLLS {
+            if self.is_granted(tid) {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        for _ in 0..YIELD_POLLS {
+            if self.is_granted(tid) {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        let slot = Arc::clone(
+            self.lock_state()
+                .runnable
+                .get(&tid)
+                .expect("a thread waits for a turn only while registered"),
+        );
+        *slot.thread.lock().expect("park slot lock poisoned") = Some(std::thread::current());
+        slot.asleep.store(true, Ordering::SeqCst);
+        // A spurious wakeup, or an unpark left over from an earlier grant,
+        // only costs another look at the grant.
+        while self.granted.load(Ordering::SeqCst) != tid {
+            std::thread::park();
+        }
+        // Relaxed: a granter that still reads `true` only sends a spare unpark.
+        slot.asleep.store(false, Ordering::Relaxed);
+    }
+
+    /// Draws the next holder from the runnable set and hands it the turn;
+    /// `from` is the thread giving the turn up, if any.
+    fn grant_next(&self, s: &mut SeededState, from: Option<u32>) {
+        if s.runnable.is_empty() {
+            self.granted.store(NO_GRANT, Ordering::SeqCst);
+            return;
+        }
+        let n = s.rng.gen_index(s.runnable.len());
+        let (&next, slot) = s.runnable.iter().nth(n).expect("index drawn in range");
+        if from == Some(next) {
+            return; // the holder keeps the turn: nothing to publish or wake
+        }
+        self.granted.store(next, Ordering::SeqCst);
+        if slot.asleep.load(Ordering::SeqCst) {
+            let sleeper = slot.thread.lock().expect("park slot lock poisoned");
+            if let Some(t) = sleeper.as_ref() {
+                t.unpark();
+            }
         }
     }
 }
 
 impl Scheduler for SeededScheduler {
     fn register(&self, tid: ThreadId) {
-        let mut s = self.state.lock().unwrap();
-        s.runnable.insert(tid.0);
-        if s.granted.is_none() {
-            s.pick_next();
+        assert_ne!(tid.0, NO_GRANT, "thread id {NO_GRANT} is reserved");
+        let mut s = self.lock_state();
+        s.runnable.insert(tid.0, Arc::default());
+        if self.granted.load(Ordering::SeqCst) == NO_GRANT {
+            self.grant_next(&mut s, None);
         }
-        self.cv.notify_all();
     }
 
     fn unregister(&self, tid: ThreadId) {
-        let mut s = self.state.lock().unwrap();
         // Leaving is itself a scheduled event: wait for this thread's turn
         // so the runnable set shrinks at a deterministic point.
-        while s.granted != Some(tid.0) {
-            s = self.cv.wait(s).unwrap();
-        }
+        self.wait_turn(tid.0);
+        let mut s = self.lock_state();
         s.runnable.remove(&tid.0);
-        s.pick_next();
-        self.cv.notify_all();
+        self.grant_next(&mut s, None);
     }
 
     fn with_turn(&self, tid: ThreadId, f: &mut dyn FnMut()) {
-        let mut s = self.state.lock().unwrap();
-        while s.granted != Some(tid.0) {
-            s = self.cv.wait(s).unwrap();
-        }
-        // Perform the operation while holding the turn (but not the state
-        // lock is held too — the op is cheap and this keeps the grant order
-        // identical to the operation order).
+        self.wait_turn(tid.0);
+        // Perform the operation while holding the turn, so the grant order
+        // is exactly the operation order. The state lock is free meanwhile:
+        // other threads only take it to look up their own park slot.
         f();
-        s.pick_next();
-        self.cv.notify_all();
+        let mut s = self.lock_state();
+        self.grant_next(&mut s, Some(tid.0));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    
-    use std::sync::Arc;
 
-    fn interleaving(seed: u64) -> Vec<u32> {
-        let sched = Arc::new(SeededScheduler::new(seed));
-        let order = Arc::new(Mutex::new(Vec::new()));
+    /// Runs one thread per entry of `ops`, thread `t` taking `ops[t]` turns
+    /// and then unregistering; returns the order in which turns ran.
+    fn interleaving_with(seed: u64, ops: &[usize]) -> Vec<u32> {
+        let sched = SeededScheduler::new(seed);
+        let order = Mutex::new(Vec::new());
         // Register everyone before any thread runs (the executor does the
         // same) so the runnable set at the first grant is deterministic.
-        for t in 0..4u32 {
+        for t in 0..ops.len() as u32 {
             sched.register(ThreadId(t));
         }
         std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let sched = Arc::clone(&sched);
-                let order = Arc::clone(&order);
+            for (t, &n) in (0u32..).zip(ops) {
+                let (sched, order) = (&sched, &order);
                 scope.spawn(move || {
                     let tid = ThreadId(t);
-                    for _ in 0..16 {
+                    for _ in 0..n {
                         sched.with_turn(tid, &mut || order.lock().unwrap().push(t));
                     }
                     sched.unregister(tid);
                 });
             }
         });
-        Arc::try_unwrap(order).unwrap().into_inner().unwrap()
+        order.into_inner().unwrap()
+    }
+
+    fn interleaving(seed: u64) -> Vec<u32> {
+        interleaving_with(seed, &[16; 4])
+    }
+
+    /// The grant sequence is part of every seeded trace, so it is pinned to
+    /// literal vectors: a scheduler change that reorders grants (an extra
+    /// or moved RNG draw) fails here even though it would still be
+    /// deterministic run to run.
+    #[test]
+    fn grant_sequence_is_pinned() {
+        #[rustfmt::skip]
+        let four_even = [
+            0, 1, 1, 0, 3, 0, 3, 1, 2, 0, 1, 2, 2, 2, 0, 0, 1, 0, 2, 3, 0, 2, 2, 0, 1, 2, 3, 3, 2, 3, 3, 2,
+            3, 2, 1, 0, 1, 3, 0, 2, 0, 1, 3, 2, 1, 0, 0, 2, 3, 1, 0, 0, 1, 3, 3, 2, 3, 1, 1, 3, 2, 1, 1, 3,
+        ];
+        assert_eq!(interleaving(42), four_even);
+        #[rustfmt::skip]
+        let two_even = [
+            0, 1, 0, 0, 1, 1, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 0, 0, 0,
+            0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(interleaving_with(1, &[24; 2]), two_even);
+        // Lopsided: threads leave at staggered points (each departure is a
+        // draw of its own), one of them without ever taking a turn.
+        assert_eq!(
+            interleaving_with(9, &[0, 3, 12, 1, 7]),
+            [2, 4, 2, 1, 3, 4, 1, 4, 1, 4, 4, 4, 4, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2]
+        );
+        assert_eq!(
+            interleaving_with(3, &[5, 0, 9]),
+            [0, 0, 0, 2, 0, 2, 0, 2, 2, 2, 2, 2, 2, 2]
+        );
     }
 
     #[test]
