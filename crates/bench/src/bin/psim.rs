@@ -628,8 +628,8 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
         Some(m) => vec![parse_model(m)?],
     };
     let mut cfg = ServeConfig::new(kind);
-    cfg.shards = args.num("--shards", cfg.shards as u64)?.max(1) as usize;
-    cfg.keys = args.num("--keys", cfg.keys)?.max(1);
+    cfg.shards = args.num("--shards", cfg.shards as u64)? as usize;
+    cfg.keys = args.num("--keys", cfg.keys)?;
     cfg.ops = args.num("--ops", cfg.ops)?;
     cfg.rate_ops_per_sec = args.fnum("--rate", cfg.rate_ops_per_sec)?;
     cfg.theta = args.fnum("--theta", cfg.theta)?;
@@ -642,15 +642,7 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
     cfg.write_latency_ns = args.fnum("--latency", cfg.write_latency_ns)?;
     cfg.interleave_bytes = args.num("--interleave", cfg.interleave_bytes)?;
     cfg.seed = args.num("--seed", cfg.seed)?;
-    if !(0.0..1.0).contains(&cfg.theta) {
-        return Err(format!("--theta must be in [0, 1), got {}", cfg.theta));
-    }
-    if !(0.0..=1.0).contains(&cfg.get_ratio) {
-        return Err(format!("--get-ratio must be in [0, 1], got {}", cfg.get_ratio));
-    }
-    if cfg.rate_ops_per_sec <= 0.0 {
-        return Err("--rate must be positive".into());
-    }
+    cfg.validate()?;
     // `--smoke` runs the deterministic virtual-time simulation (the CI
     // determinism contract); the default paces real worker threads.
     let mode = if args.has("--smoke") { Mode::Virtual } else { Mode::Wall };

@@ -184,6 +184,29 @@ fn capture_rejects_zero_threads() {
     assert!(!std::path::Path::new(&trace).exists(), "no trace is written");
 }
 
+/// Runs `psim serve --smoke` with `flag 0` and expects a nonzero exit
+/// naming the flag, with no report on stdout.
+fn assert_serve_rejects_zero(flag: &str) {
+    let out = psim()
+        .args(["serve", "--smoke", "--structure", "kv", flag, "0"])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "{flag} 0 must fail");
+    let want = format!("{flag} must be at least 1");
+    assert!(String::from_utf8_lossy(&out.stderr).contains(&want), "{flag} 0: no `{want}`");
+    assert!(out.stdout.is_empty(), "{flag} 0 must not print a report");
+}
+
+#[test]
+fn serve_rejects_zero_shards() {
+    assert_serve_rejects_zero("--shards");
+}
+
+#[test]
+fn serve_rejects_zero_keys() {
+    assert_serve_rejects_zero("--keys");
+}
+
 /// A trace smaller than the write buffer reaches the disk only when the
 /// buffer is flushed, so a full disk must surface there as an error.
 #[cfg(target_os = "linux")]

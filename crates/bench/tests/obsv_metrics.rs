@@ -27,7 +27,7 @@ fn sweep_metrics_snapshot_is_identical_for_1_2_8_workers() {
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 8] {
         obsv::reset();
-        SweepRunner::new(workers).run(&items, |i, inserts| record_cell(i, inserts));
+        SweepRunner::new(workers).run(&items, record_cell);
         let json = obsv::snapshot().filter_prefix("bsw.").to_json();
         match &reference {
             None => reference = Some(json),
@@ -46,7 +46,7 @@ fn disabled_metrics_record_nothing_through_the_sweep() {
     obsv::set_enabled(false);
     obsv::reset();
     let items: Vec<u64> = (0..32).collect();
-    SweepRunner::new(4).run(&items, |i, inserts| record_cell(i, inserts));
+    SweepRunner::new(4).run(&items, record_cell);
     obsv::set_enabled(true); // snapshot() flushes; flag only gates recording
     let snap = obsv::snapshot().filter_prefix("bsw.");
     assert!(snap.counters.is_empty(), "disabled run recorded counters: {:?}", snap.counters);

@@ -171,13 +171,13 @@ impl ReachIndex {
         // DAG's antichain width instead of growing with every fan-out.
         let mut chain = u16::MAX;
         let mut pos = 0u32;
-        for c in 0..w {
-            if row[c] == self.tip_pos[c] && row[c] > 0 {
+        for (c, r) in row[..w].iter_mut().enumerate() {
+            if *r == self.tip_pos[c] && *r > 0 {
                 chain = c as u16;
-                pos = row[c] + 1;
+                pos = *r + 1;
                 self.tips[c] = id;
                 self.tip_pos[c] = pos;
-                row[c] = pos;
+                *r = pos;
                 break;
             }
         }

@@ -122,11 +122,11 @@ impl RunState {
     pub(crate) fn finish_obsv(&self) {
         if obsv::enabled() {
             obsv::counter_add("engine.runs", 1);
-            obsv::counter_add("engine.events", self.stats.events as u64);
-            obsv::counter_add("engine.persists", self.stats.persist_ops as u64);
-            obsv::counter_add("engine.coalesced", self.stats.coalesced as u64);
-            obsv::counter_add("engine.barriers", self.stats.barriers as u64);
-            obsv::observe("engine.events_per_run", self.stats.events as u64);
+            obsv::counter_add("engine.events", self.stats.events);
+            obsv::counter_add("engine.persists", self.stats.persist_ops);
+            obsv::counter_add("engine.coalesced", self.stats.coalesced);
+            obsv::counter_add("engine.barriers", self.stats.barriers);
+            obsv::observe("engine.events_per_run", self.stats.events);
         }
     }
 }

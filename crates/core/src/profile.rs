@@ -467,7 +467,7 @@ mod tests {
             for (i, s) in r.path.iter().enumerate() {
                 assert_eq!(s.level as usize, i + 1);
             }
-            assert!(r.path.first().map_or(true, |s| s.edge == EdgeKind::Root));
+            assert!(r.path.first().is_none_or(|s| s.edge == EdgeKind::Root));
         }
     }
 

@@ -1,16 +1,23 @@
 //! Interposable persistence backend.
 //!
-//! Native (non-traced) persistent data structures express their persistence
-//! protocol through this trait instead of raw pointers + [`crate::hw`]
-//! intrinsics: stores, cache-line flushes and persist fences become trait
-//! calls, so the *same* structure code can run over
+//! Every persistent structure in the workspace (the `pstruct` table and
+//! undo log, the `pqueue` Copy While Locked critical section and entry
+//! copy) writes its persistence protocol *once*, against this trait:
+//! stores, cache-line flushes and persist fences become trait calls, so
+//! the same body runs over
 //!
 //! - [`DirectPmem`] — a plain [`MemoryImage`] where every store is
-//!   immediately durable (functional testing, golden runs), or
+//!   immediately durable (functional testing, golden runs, `serve` shards),
 //! - a tracking backend (the `pfi` crate's `ShadowPmem`) that records every
 //!   store/flush/fence and injects crashes that drop any subset of
 //!   *pending* (written-but-not-persisted) cache lines the active
-//!   persistency model allows.
+//!   persistency model allows, or
+//! - traced memory (`mem_trace::ThreadCtx`), which turns each call into
+//!   the trace events the persistency analyses consume: `store` is a
+//!   traced byte copy (one `Store` event per word chunk), the word ops are
+//!   the traced word accesses, `fence` is a `PersistBarrier`, `strand` is
+//!   a `NewStrand`, `mem_barrier` is a `MemBarrier` and `flush` records
+//!   nothing (the paper's models order persists with barriers alone).
 //!
 //! The call mapping to hardware is one-to-one: [`PmemBackend::store`] is a
 //! plain store to persistent memory, [`PmemBackend::flush`] is
@@ -37,11 +44,14 @@
 
 use crate::{MemAddr, MemoryImage};
 
-/// The persistence interface native structures are written against.
+/// The persistence interface every persistent structure is written against.
 ///
 /// All methods take `&mut self` so tracking backends can record ordering;
 /// loads are included because recovery-relevant protocols read their own
-/// persistent state (head pointers, probe chains, log counts).
+/// persistent state (head pointers, probe chains, log counts). Protocol
+/// bodies take the backend by value (`mut mem: impl PmemBackend`): pass
+/// `&mut backend` for an owned backend (see the `&mut B` impl below) or a
+/// `&ThreadCtx` for traced memory.
 pub trait PmemBackend {
     /// Reads `buf.len()` bytes at `addr` from the current (cached, possibly
     /// not yet durable) contents.
@@ -65,6 +75,12 @@ pub trait PmemBackend {
     /// (and models) without strand semantics.
     fn strand(&mut self) {}
 
+    /// Memory consistency barrier: orders store *visibility* on a relaxed
+    /// consistency model (the RMO annotation strict persistency relies on,
+    /// §4.2). Only traced memory records it; durability backends have
+    /// nothing to do, so the default is a no-op.
+    fn mem_barrier(&mut self) {}
+
     /// Reads a little-endian `u64` at `addr`.
     fn load_u64(&mut self, addr: MemAddr) -> u64 {
         let mut buf = [0u8; 8];
@@ -81,6 +97,48 @@ pub trait PmemBackend {
     fn persist(&mut self, addr: MemAddr, len: u64) {
         self.flush(addr, len);
         self.fence();
+    }
+}
+
+/// An exclusive borrow of a backend is a backend, so protocol bodies that
+/// take theirs by value can be handed `&mut backend` and leave the caller
+/// its owned backend. Every method forwards, so overrides of the provided
+/// methods stay in effect.
+impl<B: PmemBackend + ?Sized> PmemBackend for &mut B {
+    fn load(&mut self, addr: MemAddr, buf: &mut [u8]) {
+        (**self).load(addr, buf);
+    }
+
+    fn store(&mut self, addr: MemAddr, data: &[u8]) {
+        (**self).store(addr, data);
+    }
+
+    fn flush(&mut self, addr: MemAddr, len: u64) {
+        (**self).flush(addr, len);
+    }
+
+    fn fence(&mut self) {
+        (**self).fence();
+    }
+
+    fn strand(&mut self) {
+        (**self).strand();
+    }
+
+    fn mem_barrier(&mut self) {
+        (**self).mem_barrier();
+    }
+
+    fn load_u64(&mut self, addr: MemAddr) -> u64 {
+        (**self).load_u64(addr)
+    }
+
+    fn store_u64(&mut self, addr: MemAddr, value: u64) {
+        (**self).store_u64(addr, value);
+    }
+
+    fn persist(&mut self, addr: MemAddr, len: u64) {
+        (**self).persist(addr, len);
     }
 }
 
@@ -143,7 +201,8 @@ mod tests {
         mem.store_u64(a, 7);
         assert_eq!(mem.load_u64(a), 7);
         mem.persist(a, 8);
-        mem.strand(); // default no-op
+        mem.strand(); // default no-ops
+        mem.mem_barrier();
         assert_eq!(mem.into_image().read_u64(a).unwrap(), 7);
     }
 

@@ -14,8 +14,9 @@
 //! - [`hw`] — real cache-line flush intrinsics for native (non-simulated)
 //!   persistent data structures,
 //! - [`PmemBackend`] / [`DirectPmem`] — the interposable persistence
-//!   backend native structures are written against, so the `pfi` fault
-//!   injector can shadow their store/flush/fence traffic.
+//!   backend every persistent structure is written against once, so the
+//!   same protocol body runs over a direct image, the `pfi` fault
+//!   injector's shadow and traced memory.
 //!
 //! # Example
 //!

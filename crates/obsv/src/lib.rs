@@ -17,8 +17,8 @@
 //! Because every merge operation is order-independent, the **deterministic
 //! sections** of a snapshot ([`Snapshot::to_json`]: counters and
 //! histograms) are byte-identical however the recording work was sharded
-//! across threads — the same discipline the repo's `SweepRunner` output
-//! follows. Wall-clock timings are rendered only by
+//! across threads — the same discipline the workspace's one worker pool
+//! ([`par_map`]) follows. Wall-clock timings are rendered only by
 //! [`Snapshot::to_json_full`].
 //!
 //! The whole layer is a **no-op unless enabled**: every recording call
@@ -34,11 +34,13 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod pool;
 pub mod runmeta;
 pub mod series;
 pub mod tracefmt;
 
 pub use hist::Histogram;
+pub use pool::par_map;
 pub use runmeta::RunMeta;
 
 use std::cell::RefCell;

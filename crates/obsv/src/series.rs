@@ -122,7 +122,7 @@ fn merge_into_global(store: &SeriesStore) {
 }
 
 thread_local! {
-    static LOCAL_SERIES: LocalSeries = LocalSeries { store: RefCell::new(BTreeMap::new()) };
+    static LOCAL_SERIES: LocalSeries = const { LocalSeries { store: RefCell::new(BTreeMap::new()) } };
 }
 
 /// Adds `delta` to the counter series `name` in the window containing

@@ -104,7 +104,7 @@ impl Drop for LocalTrace {
 }
 
 thread_local! {
-    static LOCAL_TRACE: LocalTrace = LocalTrace { events: RefCell::new(Vec::new()) };
+    static LOCAL_TRACE: LocalTrace = const { LocalTrace { events: RefCell::new(Vec::new()) } };
 }
 
 /// Renders argument pairs into the pre-joined form stored on the event.
@@ -252,7 +252,7 @@ pub fn render(meta: &str) -> String {
         if !e.args.is_empty() {
             row.push_str(&format!(", \"args\": {{{}}}", e.args));
         }
-        row.push_str("}");
+        row.push('}');
         rows.push(row);
     }
 

@@ -1,36 +1,12 @@
 //! Merge-determinism: the deterministic snapshot sections must be
 //! byte-identical however the recording work is sharded across threads,
-//! mirroring the repo's `SweepRunner` determinism discipline.
+//! mirroring the determinism discipline of the workspace pool
+//! (`obsv::par_map`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Both tests reset the process-global registry, so they serialize.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs `items` work closures across `workers` threads with dynamic
-/// claiming (the same work-stealing-by-index scheme `SweepRunner` uses),
-/// recording metrics from whatever thread claims each item.
-fn run_sharded(workers: usize, items: usize, record: impl Fn(usize) + Sync) {
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items {
-                        break;
-                    }
-                    record(i);
-                }
-                // Flush before the closure returns: scope() can unblock as
-                // soon as the closure finishes, before this thread's TLS
-                // destructors (the automatic flush) have run.
-                obsv::flush();
-            });
-        }
-    });
-}
 
 fn record_cell(i: usize) {
     // Deterministic per-item payload: what gets recorded depends only on
@@ -50,7 +26,8 @@ fn snapshot_json_is_identical_for_1_2_8_workers() {
     let mut reference: Option<String> = None;
     for workers in [1usize, 2, 8] {
         obsv::reset();
-        run_sharded(workers, ITEMS, record_cell);
+        // Whatever thread claims an item records its metrics.
+        obsv::par_map(ITEMS, workers, record_cell);
         let json = obsv::snapshot().filter_prefix("det.").to_json();
         match &reference {
             None => reference = Some(json),

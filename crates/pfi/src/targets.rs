@@ -19,9 +19,9 @@
 
 use crate::shadow::ShadowPmem;
 use persist_mem::{MemAddr, MemoryImage, PmemBackend, CACHE_LINE_BYTES};
-use pqueue::pmem::{PmemBarrierMode, PmemCwlQueue, PmemTwoLockQueue};
+use pqueue::pmem::{PmemCwlQueue, PmemTwoLockQueue};
 use pqueue::recovery;
-use pqueue::traced::{QueueLayout, QueueParams};
+use pqueue::traced::{BarrierMode, QueueLayout, QueueParams};
 use pstruct::kv::PersistentKv;
 use pstruct::txn::{RecoveryStep, UndoLog};
 
@@ -96,21 +96,21 @@ fn check_queue_head(
 }
 
 /// Copy While Locked (Algorithm 1), with selectable barrier placement —
-/// [`PmemBarrierMode::Elided`] is the known-buggy specimen.
+/// [`BarrierMode::Elided`] is the known-buggy specimen.
 pub struct CwlTarget {
     layout: QueueLayout,
-    mode: PmemBarrierMode,
+    mode: BarrierMode,
 }
 
 impl CwlTarget {
     /// The stock protocol.
     pub fn new() -> Self {
-        CwlTarget { layout: queue_layout(8, 1), mode: PmemBarrierMode::Full }
+        CwlTarget { layout: queue_layout(8, 1), mode: BarrierMode::Full }
     }
 
     /// The barrier-elided variant the injector must catch.
     pub fn elided() -> Self {
-        CwlTarget { layout: queue_layout(8, 1), mode: PmemBarrierMode::Elided }
+        CwlTarget { layout: queue_layout(8, 1), mode: BarrierMode::Elided }
     }
 }
 
@@ -123,8 +123,9 @@ impl Default for CwlTarget {
 impl FuzzTarget for CwlTarget {
     fn name(&self) -> &'static str {
         match self.mode {
-            PmemBarrierMode::Full => "cwl",
-            PmemBarrierMode::Elided => "cwl-elided",
+            BarrierMode::Full => "cwl",
+            BarrierMode::Racing => "cwl-racing",
+            BarrierMode::Elided => "cwl-elided",
         }
     }
 
@@ -132,7 +133,7 @@ impl FuzzTarget for CwlTarget {
         let mut q = PmemCwlQueue::new(self.layout, self.mode);
         for j in 0..ops {
             mem.op_begin(j);
-            q.insert(mem);
+            q.insert(&mut *mem);
             mem.op_end(j);
         }
     }
@@ -189,7 +190,7 @@ impl FuzzTarget for TwoLockTarget {
             // persisted head covers its slot.
             let order: &[usize] = if group == 3 { &[1, 2, 0] } else { &[0, 1][..group as usize] };
             for &i in order {
-                let head = q.complete(mem, starts[i]);
+                let head = q.complete(&mut *mem, starts[i]);
                 while (ended + 1) * slot <= head {
                     mem.op_end(ended);
                     ended += 1;
@@ -258,12 +259,13 @@ impl FuzzTarget for KvTarget {
     fn run(&self, mem: &mut ShadowPmem, ops: u64) {
         for j in 0..ops {
             mem.op_begin(j);
+            mem.strand(); // each operation is its own strand
             match Self::op(j) {
                 (k, Some(v)) => {
-                    self.kv.put_pmem(mem, k, v);
+                    self.kv.put(&mut *mem, k, v);
                 }
                 (k, None) => {
-                    self.kv.remove_pmem(mem, k);
+                    self.kv.remove(&mut *mem, k);
                 }
             }
             mem.op_end(j);
@@ -368,16 +370,17 @@ impl FuzzTarget for TxnTarget {
         mem.op_end(0);
         for j in 1..ops {
             mem.op_begin(j);
-            let mut txn = self.log.begin_pmem(mem);
+            mem.strand(); // each transaction is its own strand
+            let mut txn = self.log.begin(&mut *mem);
             let (av, bv) = (mem.load_u64(self.a), mem.load_u64(self.b));
             if j % 2 == 1 {
-                txn.write(mem, self.a, av - 10);
-                txn.write(mem, self.b, bv + 10);
+                txn.write(&mut *mem, self.a, av - 10);
+                txn.write(&mut *mem, self.b, bv + 10);
             } else {
-                txn.write(mem, self.a, av + 10);
-                txn.write(mem, self.b, bv - 10);
+                txn.write(&mut *mem, self.a, av + 10);
+                txn.write(&mut *mem, self.b, bv - 10);
             }
-            txn.commit(mem);
+            txn.commit(&mut *mem);
             mem.op_end(j);
         }
     }

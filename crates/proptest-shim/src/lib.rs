@@ -280,13 +280,6 @@ impl Default for ProptestConfig {
     }
 }
 
-impl ProptestConfig {
-    /// Default configuration (associated-fn form used in `..` updates).
-    pub fn default() -> Self {
-        Default::default()
-    }
-}
-
 /// Stable seed derived from the test function's name (FNV-1a), so each
 /// property replays identically across runs and machines.
 pub fn seed_for(name: &str) -> u64 {

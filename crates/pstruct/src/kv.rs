@@ -13,6 +13,11 @@
 //! new value and checksum are persisted, then the state returns to
 //! `VALID`. A failure mid-update loses that key (acceptable for a cache;
 //! use [`crate::txn::UndoLog`] for atomic multi-word updates).
+//!
+//! The protocol is written once, against [`PmemBackend`]: the same
+//! `put`/`get`/`remove` bodies run over traced memory (pass the
+//! `&ThreadCtx`) for the persistency analyses and over `DirectPmem` or the
+//! `pfi` shadow (pass `&mut backend`) for `serve` and crash-fuzz.
 
 use mem_trace::{Scheduler, ThreadCtx, TracedMem};
 use persist_mem::{MemAddr, MemoryImage, PmemBackend, CACHE_LINE_BYTES};
@@ -36,7 +41,7 @@ fn checksum(key: u64, value: u64) -> u64 {
     x ^ (x >> 29) | 1 // never zero, so an all-zero bucket cannot validate
 }
 
-/// A fixed-capacity persistent hash table over traced memory.
+/// A fixed-capacity persistent hash table over any [`PmemBackend`].
 ///
 /// Keys are nonzero `u64`s; values are `u64`s. Probing is linear. The
 /// table never resizes (persistent-structure resizing is its own research
@@ -87,7 +92,8 @@ impl PersistentKv {
     }
 
     /// Places a table at a fixed persistent address (no traced allocator),
-    /// for use with the [`PmemBackend`] methods. `buckets` is rounded up
+    /// for backends that have none (`DirectPmem`, the `pfi` shadow).
+    /// `buckets` is rounded up
     /// to a power of two; the table occupies
     /// `buckets * CACHE_LINE_BYTES` bytes at `base`.
     ///
@@ -115,95 +121,21 @@ impl PersistentKv {
         key.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.buckets
     }
 
-    /// Inserts or updates `key → value`.
+    /// Inserts or updates `key → value`. Every persist barrier is a
+    /// flush + fence of the bucket line.
+    ///
+    /// The body opens no strand: whether an operation may start a fresh
+    /// strand, dropping its order after everything the thread persisted
+    /// before, is the caller's choice. Callers running independent
+    /// operations (crash-fuzz, `serve`) call `strand()` first; one that must
+    /// order the table after another structure (an index entry after the
+    /// log record it points at) must not.
     ///
     /// # Panics
     ///
     /// Panics if `key` is zero or the table is full.
-    pub fn put<S: Scheduler>(&self, ctx: &ThreadCtx<'_, S>, key: u64, value: u64) {
+    pub fn put(&self, mut mem: impl PmemBackend, key: u64, value: u64) {
         assert_ne!(key, 0, "keys must be nonzero");
-        let start = self.probe_start(key);
-        for p in 0..self.buckets {
-            let b = self.bucket(start + p);
-            let state = ctx.load_u64(b.add(STATE));
-            if state == VALID || state == DIRTY {
-                if ctx.load_u64(b.add(KEY)) != key {
-                    continue;
-                }
-                // In-place update through invalidate → write → publish.
-                ctx.store_u64(b.add(STATE), DIRTY);
-                ctx.persist_barrier(); // invalidation before new bytes
-                ctx.store_u64(b.add(VALUE), value);
-                ctx.store_u64(b.add(CKSUM), checksum(key, value));
-                ctx.persist_barrier(); // new bytes before re-publish
-                ctx.store_u64(b.add(STATE), VALID);
-                ctx.persist_barrier();
-                return;
-            }
-            if state == EMPTY {
-                // Fresh publish: payload first, then the valid flag.
-                ctx.store_u64(b.add(KEY), key);
-                ctx.store_u64(b.add(VALUE), value);
-                ctx.store_u64(b.add(CKSUM), checksum(key, value));
-                ctx.persist_barrier(); // payload before the flag
-                ctx.store_u64(b.add(STATE), VALID);
-                ctx.persist_barrier();
-                return;
-            }
-        }
-        panic!("persistent kv table is full");
-    }
-
-    /// Looks up `key`.
-    pub fn get<S: Scheduler>(&self, ctx: &ThreadCtx<'_, S>, key: u64) -> Option<u64> {
-        let start = self.probe_start(key);
-        for p in 0..self.buckets {
-            let b = self.bucket(start + p);
-            match ctx.load_u64(b.add(STATE)) {
-                EMPTY => return None,
-                s if (s == VALID || s == DIRTY)
-                    && ctx.load_u64(b.add(KEY)) == key => {
-                        return (s == VALID).then(|| ctx.load_u64(b.add(VALUE)));
-                    }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Removes `key`; returns whether it was present.
-    pub fn remove<S: Scheduler>(&self, ctx: &ThreadCtx<'_, S>, key: u64) -> bool {
-        let start = self.probe_start(key);
-        for p in 0..self.buckets {
-            let b = self.bucket(start + p);
-            match ctx.load_u64(b.add(STATE)) {
-                EMPTY => return false,
-                s if (s == VALID || s == DIRTY)
-                    && ctx.load_u64(b.add(KEY)) == key => {
-                        if s == DIRTY {
-                            return false; // already deleted
-                        }
-                        // Tombstone: DIRTY keeps the probe chain intact.
-                        ctx.store_u64(b.add(STATE), DIRTY);
-                        ctx.persist_barrier();
-                        return true;
-                    }
-                _ => {}
-            }
-        }
-        false
-    }
-
-    /// [`PersistentKv::put`] over an interposable persistence backend:
-    /// identical protocol, with the persist barriers realized as
-    /// flush + fence of the bucket line. Used by the `pfi` fault injector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is zero or the table is full.
-    pub fn put_pmem<B: PmemBackend>(&self, mem: &mut B, key: u64, value: u64) {
-        assert_ne!(key, 0, "keys must be nonzero");
-        mem.strand(); // each operation is its own strand
         let start = self.probe_start(key);
         for p in 0..self.buckets {
             let b = self.bucket(start + p);
@@ -236,8 +168,8 @@ impl PersistentKv {
         panic!("persistent kv table is full");
     }
 
-    /// [`PersistentKv::get`] over an interposable persistence backend.
-    pub fn get_pmem<B: PmemBackend>(&self, mem: &mut B, key: u64) -> Option<u64> {
+    /// Looks up `key`.
+    pub fn get(&self, mut mem: impl PmemBackend, key: u64) -> Option<u64> {
         let start = self.probe_start(key);
         for p in 0..self.buckets {
             let b = self.bucket(start + p);
@@ -252,9 +184,9 @@ impl PersistentKv {
         None
     }
 
-    /// [`PersistentKv::remove`] over an interposable persistence backend.
-    pub fn remove_pmem<B: PmemBackend>(&self, mem: &mut B, key: u64) -> bool {
-        mem.strand();
+    /// Removes `key`; returns whether it was present. Opens no strand
+    /// (see [`PersistentKv::put`]).
+    pub fn remove(&self, mut mem: impl PmemBackend, key: u64) -> bool {
         let start = self.probe_start(key);
         for p in 0..self.buckets {
             let b = self.bucket(start + p);
@@ -599,26 +531,6 @@ mod tests {
             .unwrap();
             assert!(report.is_consistent(), "seed {seed}: {report}");
         }
-    }
-
-    #[test]
-    fn pmem_methods_match_traced_protocol() {
-        use persist_mem::{DirectPmem, MemAddr};
-        let kv = PersistentKv::from_raw(MemAddr::persistent(0), 16);
-        let mut mem = DirectPmem::new();
-        for k in 1..=10u64 {
-            kv.put_pmem(&mut mem, k, k * 7);
-        }
-        assert_eq!(kv.get_pmem(&mut mem, 3), Some(21));
-        assert!(kv.remove_pmem(&mut mem, 3));
-        assert!(!kv.remove_pmem(&mut mem, 3));
-        assert_eq!(kv.get_pmem(&mut mem, 3), None);
-        kv.put_pmem(&mut mem, 5, 999); // in-place update
-        let mut entries = kv.recover(mem.image()).unwrap();
-        entries.sort_unstable();
-        assert_eq!(entries.len(), 9);
-        assert!(entries.contains(&(5, 999)));
-        assert!(!entries.iter().any(|&(k, _)| k == 3));
     }
 
     #[test]

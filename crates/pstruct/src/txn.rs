@@ -6,8 +6,10 @@
 //!
 //! 1. **Log**: before mutating a word in place, append `(addr, old value)`
 //!    to the persistent undo log and persist it *before* the mutation
-//!    (persist barrier).
-//! 2. **Mutate** in place (persists may be concurrent with each other).
+//!    (persist barrier). The entry count is mirrored in the open
+//!    [`Txn`]; the persistent count word is the authority at recovery.
+//! 2. **Mutate** in place (flushed, not fenced: the mutations may persist
+//!    concurrently with each other).
 //! 3. **Commit**: persist barrier, then persist the commit mark.
 //! 4. **Truncate**: persist barrier, then reset the log header for the
 //!    next transaction.
@@ -21,7 +23,7 @@
 //! the recovery observer can check atomicity over every reachable failure
 //! state.
 
-use mem_trace::{Scheduler, ThreadCtx, TracedMem};
+use mem_trace::{Scheduler, TracedMem};
 use persist_mem::{MemAddr, MemoryImage, PmemBackend, CACHE_LINE_BYTES};
 
 /// Transaction states in the log header.
@@ -57,7 +59,7 @@ const E_OLD: u64 = 8;
 ///     ctx.store_u64(acct_b, 0);
 ///     ctx.persist_barrier();
 ///     // Transfer 40 from A to B, atomically with respect to failure.
-///     let txn = log.begin(ctx);
+///     let mut txn = log.begin(ctx);
 ///     txn.write(ctx, acct_a, 60);
 ///     txn.write(ctx, acct_b, 40);
 ///     txn.commit(ctx);
@@ -79,6 +81,9 @@ pub struct UndoLog {
 #[must_use = "an uncommitted transaction rolls back at recovery"]
 pub struct Txn<'l> {
     log: &'l UndoLog,
+    /// Volatile mirror of the entry count (the persistent word is the
+    /// authority at recovery).
+    count: u64,
 }
 
 impl UndoLog {
@@ -99,9 +104,9 @@ impl UndoLog {
     }
 
     /// Places a log at fixed persistent addresses (no traced allocator),
-    /// for use with the [`PmemBackend`] methods. The header occupies one
-    /// cache line at `header`; entries occupy `capacity` lines at
-    /// `entries`.
+    /// for backends that have none (`DirectPmem`, the `pfi` shadow). The
+    /// header occupies one cache line at `header`; entries occupy
+    /// `capacity` lines at `entries`.
     ///
     /// # Panics
     ///
@@ -125,37 +130,21 @@ impl UndoLog {
         self.entries.add(i * CACHE_LINE_BYTES)
     }
 
-    /// Opens a transaction.
+    /// Opens a transaction. Like the kv operations it opens no strand:
+    /// a caller running independent transactions calls `strand()` first
+    /// (see [`crate::kv::PersistentKv::put`]).
     ///
     /// # Panics
     ///
     /// Panics if a transaction is already active (the log is single-owner).
-    pub fn begin<'l, S: Scheduler>(&'l self, ctx: &ThreadCtx<'_, S>) -> Txn<'l> {
-        let status = ctx.load_u64(self.header.add(STATUS));
-        assert_eq!(status, IDLE, "undo log already owns an active transaction");
-        ctx.store_u64(self.header.add(COUNT), 0);
-        ctx.persist_barrier(); // empty log before the transaction activates
-        ctx.store_u64(self.header.add(STATUS), ACTIVE);
-        ctx.persist_barrier();
-        Txn { log: self }
-    }
-
-    /// Opens a transaction over an interposable persistence backend:
-    /// identical protocol to [`UndoLog::begin`], with the persist barriers
-    /// realized as flush + fence. Used by the `pfi` fault injector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a transaction is already active.
-    pub fn begin_pmem<'l, B: PmemBackend>(&'l self, mem: &mut B) -> PmemTxn<'l> {
-        mem.strand(); // each transaction is its own strand
+    pub fn begin(&self, mut mem: impl PmemBackend) -> Txn<'_> {
         let status = mem.load_u64(self.header.add(STATUS));
         assert_eq!(status, IDLE, "undo log already owns an active transaction");
         mem.store_u64(self.header.add(COUNT), 0);
         mem.persist(self.header, 16); // empty log before the transaction activates
         mem.store_u64(self.header.add(STATUS), ACTIVE);
         mem.persist(self.header, 16);
-        PmemTxn { log: self, count: 0 }
+        Txn { log: self, count: 0 }
     }
 
     /// Recovers a persistent image: rolls back an uncommitted transaction
@@ -231,80 +220,16 @@ pub enum RecoveryStep {
     Barrier,
 }
 
-impl<'l> Txn<'l> {
-    /// Writes `value` to persistent `addr` under the transaction: the old
-    /// value is logged and persisted before the in-place mutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the log is full or `addr` is not persistent.
-    pub fn write<S: Scheduler>(&self, ctx: &ThreadCtx<'_, S>, addr: MemAddr, value: u64) {
-        assert!(addr.is_persistent(), "transactions cover the persistent space");
-        let log = self.log;
-        let count = ctx.load_u64(log.header.add(COUNT));
-        assert!(count < log.capacity, "undo log full");
-        let old = ctx.load_u64(addr);
-        let e = log.entry(count);
-        ctx.store_u64(e.add(E_ADDR), addr.to_bits());
-        ctx.store_u64(e.add(E_OLD), old);
-        ctx.persist_barrier(); // entry payload before it is counted
-        ctx.store_u64(log.header.add(COUNT), count + 1);
-        ctx.persist_barrier(); // undo record durable before the mutation
-        ctx.store_u64(addr, value);
-    }
-
-    /// Commits: all in-place writes persist before the commit mark.
-    pub fn commit<S: Scheduler>(self, ctx: &ThreadCtx<'_, S>) {
-        let log = self.log;
-        ctx.persist_barrier(); // mutations before the commit mark
-        ctx.store_u64(log.header.add(STATUS), COMMITTED);
-        ctx.persist_barrier(); // commit before truncation
-        ctx.store_u64(log.header.add(COUNT), 0);
-        ctx.persist_barrier();
-        ctx.store_u64(log.header.add(STATUS), IDLE);
-        ctx.persist_barrier();
-    }
-
-    /// Aborts: rolls the in-place state back using the volatile view of
-    /// the log, then retires it.
-    pub fn abort<S: Scheduler>(self, ctx: &ThreadCtx<'_, S>) {
-        let log = self.log;
-        let count = ctx.load_u64(log.header.add(COUNT));
-        for i in (0..count).rev() {
-            let e = log.entry(i);
-            let addr = MemAddr::from_bits(ctx.load_u64(e.add(E_ADDR)));
-            let old = ctx.load_u64(e.add(E_OLD));
-            ctx.store_u64(addr, old);
-        }
-        ctx.persist_barrier(); // rollback writes before the log retires
-        ctx.store_u64(log.header.add(COUNT), 0);
-        ctx.persist_barrier();
-        ctx.store_u64(log.header.add(STATUS), IDLE);
-        ctx.persist_barrier();
-    }
-}
-
-/// An open transaction over a [`PmemBackend`] (consumed by
-/// [`PmemTxn::commit`]).
-#[derive(Debug)]
-#[must_use = "an uncommitted transaction rolls back at recovery"]
-pub struct PmemTxn<'l> {
-    log: &'l UndoLog,
-    /// Volatile mirror of the entry count (the persistent word is the
-    /// authority at recovery).
-    count: u64,
-}
-
-impl<'l> PmemTxn<'l> {
+impl Txn<'_> {
     /// Writes `value` to persistent `addr` under the transaction: the old
     /// value is logged and persisted before the in-place mutation. The
-    /// mutation itself is flushed but not fenced — [`PmemTxn::commit`]
-    /// fences once for all of them.
+    /// mutation itself is flushed but not fenced — [`Txn::commit`] fences
+    /// once for all of them.
     ///
     /// # Panics
     ///
     /// Panics if the log is full or `addr` is not persistent.
-    pub fn write<B: PmemBackend>(&mut self, mem: &mut B, addr: MemAddr, value: u64) {
+    pub fn write(&mut self, mut mem: impl PmemBackend, addr: MemAddr, value: u64) {
         assert!(addr.is_persistent(), "transactions cover the persistent space");
         let log = self.log;
         assert!(self.count < log.capacity, "undo log full");
@@ -322,11 +247,29 @@ impl<'l> PmemTxn<'l> {
 
     /// Commits: all in-place writes persist before the commit mark, which
     /// persists before the log truncates.
-    pub fn commit<B: PmemBackend>(self, mem: &mut B) {
+    pub fn commit(self, mut mem: impl PmemBackend) {
         let log = self.log;
         mem.fence(); // mutations (flushed at write time) before the mark
         mem.store_u64(log.header.add(STATUS), COMMITTED);
         mem.persist(log.header, 16); // commit before truncation
+        mem.store_u64(log.header.add(COUNT), 0);
+        mem.persist(log.header, 16);
+        mem.store_u64(log.header.add(STATUS), IDLE);
+        mem.persist(log.header, 16);
+    }
+
+    /// Aborts: rolls the in-place state back from the log, newest entry
+    /// first, then retires the log.
+    pub fn abort(self, mut mem: impl PmemBackend) {
+        let log = self.log;
+        for i in (0..self.count).rev() {
+            let e = log.entry(i);
+            let addr = MemAddr::from_bits(mem.load_u64(e.add(E_ADDR)));
+            let old = mem.load_u64(e.add(E_OLD));
+            mem.store_u64(addr, old);
+            mem.flush(addr, 8);
+        }
+        mem.fence(); // rollback writes before the log retires
         mem.store_u64(log.header.add(COUNT), 0);
         mem.persist(log.header, 16);
         mem.store_u64(log.header.add(STATUS), IDLE);
@@ -356,7 +299,7 @@ mod tests {
             for _ in 0..n {
                 let va = ctx.load_u64(a);
                 let vb = ctx.load_u64(b);
-                let txn = log.begin(ctx);
+                let mut txn = log.begin(ctx);
                 txn.write(ctx, a, va - 10);
                 txn.write(ctx, b, vb + 10);
                 txn.commit(ctx);
@@ -381,7 +324,7 @@ mod tests {
         let trace = mem.run(1, move |ctx| {
             ctx.store_u64(a, 5);
             ctx.persist_barrier();
-            let txn = log.begin(ctx);
+            let mut txn = log.begin(ctx);
             txn.write(ctx, a, 99);
             assert_eq!(ctx.load_u64(a), 99);
             txn.abort(ctx);
@@ -485,7 +428,7 @@ mod tests {
         let a = mem.setup_alloc(16, 8).unwrap();
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             mem.run(1, move |ctx| {
-                let txn = log.begin(ctx);
+                let mut txn = log.begin(ctx);
                 txn.write(ctx, a, 1);
                 txn.write(ctx, a.add(8), 2); // second write overflows
                 txn.commit(ctx);
@@ -505,7 +448,7 @@ mod tests {
         mem.store_u64(b, 0);
         mem.persist(a, 8);
 
-        let mut txn = log.begin_pmem(&mut mem);
+        let mut txn = log.begin(&mut mem);
         txn.write(&mut mem, a, 60);
         txn.write(&mut mem, b, 40);
         txn.commit(&mut mem);
@@ -514,7 +457,7 @@ mod tests {
         assert_eq!(img.read_u64(b).unwrap(), 40);
 
         // Uncommitted transaction: recovery rolls the writes back.
-        let mut txn = log.begin_pmem(&mut mem);
+        let mut txn = log.begin(&mut mem);
         txn.write(&mut mem, a, 1);
         txn.write(&mut mem, b, 99);
         let _ = txn; // crash before commit
@@ -533,7 +476,7 @@ mod tests {
         let mut mem = DirectPmem::new();
         mem.store_u64(a, 5);
         mem.persist(a, 8);
-        let mut txn = log.begin_pmem(&mut mem);
+        let mut txn = log.begin(&mut mem);
         txn.write(&mut mem, a, 77);
         let _ = txn; // left ACTIVE
 

@@ -22,7 +22,7 @@
 //! including strand and across wrap-around**. The crash tests verify
 //! this, and that removing the barrier reintroduces the corruption.
 
-use crate::entry::{EntryCodec, PAYLOAD_BYTES};
+use crate::entry::{copy_entry, EntryCodec, PAYLOAD_BYTES};
 use crate::traced::QueueParams;
 use mem_trace::locks::McsLock;
 use mem_trace::{Scheduler, ThreadCtx, TracedMem};
@@ -130,12 +130,7 @@ impl BoundedQueue {
             ctx.mem_barrier();
         }
 
-        let pos = h % cap;
-        let lap = h / cap;
-        let payload = EntryCodec::encode(pos, lap);
-        let dst = self.layout.data.add(pos);
-        ctx.store_u64(dst, PAYLOAD_BYTES as u64);
-        ctx.copy_bytes(dst.add(8), &payload);
+        copy_entry(ctx, self.layout.data, cap, h);
 
         ctx.mem_barrier();
         ctx.persist_barrier();

@@ -8,9 +8,14 @@
 //! claims valid, that exactly the right bytes persisted.
 
 use core::fmt;
+use persist_mem::{MemAddr, PmemBackend};
 
 /// Payload size in bytes, matching the paper's 100-byte entries.
 pub const PAYLOAD_BYTES: usize = 100;
+
+/// Bytes one entry occupies in the data segment: the 8-byte length word
+/// followed by the payload.
+pub const ENTRY_BYTES: u64 = 8 + PAYLOAD_BYTES as u64;
 
 /// Offsets within the payload.
 const SLOT_OFF: usize = 0;
@@ -78,6 +83,24 @@ impl fmt::Display for EntryError {
 }
 
 impl std::error::Error for EntryError {}
+
+/// Algorithm 1's `COPY(data[pos], (length, entry), length + sl)`, written
+/// once for every queue and backend: stores the length word and the
+/// self-validating payload of the insert at absolute byte position `at`
+/// of the circular segment of `capacity_bytes` bytes at `data`. Returns
+/// the entry's address; making it durable is the caller's protocol.
+pub fn copy_entry(
+    mut mem: impl PmemBackend,
+    data: MemAddr,
+    capacity_bytes: u64,
+    at: u64,
+) -> MemAddr {
+    let pos = at % capacity_bytes;
+    let dst = data.add(pos);
+    mem.store_u64(dst, PAYLOAD_BYTES as u64);
+    mem.store(dst.add(8), &EntryCodec::encode(pos, at / capacity_bytes));
+    dst
+}
 
 /// FNV-style multiply-xor checksum, folded a word at a time.
 ///

@@ -16,20 +16,28 @@
 //! Recovery for both: an entry is valid iff the persisted head pointer
 //! encompasses its region of the data segment.
 //!
-//! This crate provides:
+//! Each persistence protocol is written against the interposable
+//! [`persist_mem::PmemBackend`], which traced memory implements too, so
+//! one body serves the persistency analyses, crash-fuzz and `serve`:
 //!
-//! - [`traced`] — the queues implemented over [`mem_trace::TracedMem`],
-//!   annotated with persist barriers and strand barriers exactly as
-//!   Algorithm 1 (including the *racing epochs* variant that elides the
-//!   barriers around the lock),
+//! - [`traced`] — the queues run over [`mem_trace::TracedMem`] with their
+//!   traced MCS locks, annotated with persist and strand barriers exactly
+//!   as Algorithm 1 (including the *racing epochs* variant that elides
+//!   the barriers around the lock). The Copy While Locked critical
+//!   section inside the lock is backend-generic;
+//! - [`pmem`] — the single-inserter wrappers `pfi` and `serve` drive over
+//!   `DirectPmem` or the fault injector's shadow: Copy While Locked runs
+//!   the same critical section (including a deliberately barrier-elided
+//!   [`BarrierMode::Elided`] used to validate the injector); Two-Lock
+//!   Concurrent still keeps its own completion protocol (it persists each
+//!   entry when it completes, see the module docs),
 //! - [`native`] — the same designs over real memory with real threads, MCS
-//!   locks and cache-line flush intrinsics, used to measure the
-//!   instruction execution rate (the Table 1 normalization baseline),
-//! - [`pmem`] — the same persistence protocols over the interposable
-//!   [`persist_mem::PmemBackend`], so the `pfi` fault injector can crash
-//!   them at arbitrary store/flush/fence points (including a deliberately
-//!   barrier-elided variant used to validate the injector),
-//! - [`entry`] — self-validating entry encoding (slot, lap, checksum),
+//!   locks and cache-line flush intrinsics, kept as raw hardware code
+//!   because it measures the instruction execution rate (the Table 1
+//!   normalization baseline),
+//! - [`entry`] — self-validating entry encoding (slot, lap, checksum) and
+//!   [`entry::copy_entry`], the one Algorithm 1 entry copy every queue
+//!   uses,
 //! - [`recovery`] — queue recovery from a persistent-memory image and the
 //!   crash-consistency invariant used with
 //!   [`persistency::crash`],
@@ -64,5 +72,5 @@ pub mod recovery;
 pub mod traced;
 
 pub use entry::{EntryCodec, PAYLOAD_BYTES};
-pub use pmem::{PmemBarrierMode, PmemCwlQueue, PmemTwoLockQueue};
+pub use pmem::{PmemCwlQueue, PmemTwoLockQueue};
 pub use traced::{BarrierMode, QueueLayout, QueueParams};

@@ -1,21 +1,21 @@
 //! Algorithm 1 over an interposable persistence backend.
 //!
-//! These are the *native-protocol* queues: the same store / cache-line
-//! flush / persist-fence sequence the [`crate::native`] queues issue
-//! through [`persist_mem::hw`], but expressed against
-//! [`persist_mem::PmemBackend`] so the `pfi` fault injector can shadow
-//! every persistence event and crash the protocol at arbitrary points.
-//! Recovery is shared with every other execution mode:
-//! [`crate::recovery::recover`] runs unchanged on the materialized image.
+//! These queues keep their volatile state (head mirror, reservation list)
+//! in plain variables and every persistent access on a
+//! [`persist_mem::PmemBackend`], so the `pfi` fault injector can shadow
+//! every persistence event and crash the protocol at arbitrary points, and
+//! `serve` shards can run them over `DirectPmem`. Recovery is shared with
+//! every other execution mode: [`crate::recovery::recover`] runs unchanged
+//! on the materialized image.
 //!
 //! Two designs, as in §6 of the paper:
 //!
-//! - [`PmemCwlQueue`] — Copy While Locked, single inserter. The
-//!   [`PmemBarrierMode::Elided`] variant deliberately removes the persist
-//!   fence between the entry flush and the head-pointer store; it is the
-//!   known-buggy specimen the injector must catch (the head can persist
-//!   while its entry is dropped under any model weaker than sequential
-//!   strict persistency).
+//! - [`PmemCwlQueue`] — Copy While Locked, single inserter. Its insert is
+//!   the same critical section the traced [`crate::traced::CwlQueue`]
+//!   runs under its lock, with the same [`BarrierMode`];
+//!   [`BarrierMode::Elided`] is the known-buggy specimen the injector must
+//!   catch (the head can persist while its entry is dropped under any
+//!   model weaker than sequential strict persistency).
 //! - [`PmemTwoLockQueue`] — Two-Lock Concurrent, reservation / completion
 //!   split. Completions may finish out of reservation order; the head
 //!   pointer only ever advances over the contiguous completed prefix.
@@ -28,30 +28,17 @@
 //!   head covering them persists, which the injector's linearizable-prefix
 //!   check relies on.
 
-use crate::entry::{EntryCodec, PAYLOAD_BYTES};
-use crate::traced::{QueueLayout, QueueParams};
+use crate::entry::{copy_entry, ENTRY_BYTES};
+use crate::traced::{cwl_critical_section, BarrierMode, QueueLayout, QueueParams};
 use persist_mem::PmemBackend;
 use std::collections::VecDeque;
-
-/// Barrier placement for [`PmemCwlQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PmemBarrierMode {
-    /// The correct protocol: entry persisted (flush + fence) before the
-    /// head store that claims it.
-    Full,
-    /// The fence between the entry flush and the head store is elided:
-    /// entry and head end up pending in the same persist epoch, so a crash
-    /// may keep the head and drop the entry. Exists to validate the fault
-    /// injector (it must report this, stock structures must pass).
-    Elided,
-}
 
 /// Copy While Locked over a [`PmemBackend`] (single inserter — the lock
 /// holder of Algorithm 1; the backend event stream is inherently serial).
 #[derive(Debug, Clone)]
 pub struct PmemCwlQueue {
     layout: QueueLayout,
-    mode: PmemBarrierMode,
+    mode: BarrierMode,
     /// Volatile mirror of the head pointer (absolute bytes). Rebuilt from
     /// the image after recovery, lost at crash.
     head: u64,
@@ -59,7 +46,7 @@ pub struct PmemCwlQueue {
 
 impl PmemCwlQueue {
     /// Creates an empty queue over `layout`.
-    pub fn new(layout: QueueLayout, mode: PmemBarrierMode) -> Self {
+    pub fn new(layout: QueueLayout, mode: BarrierMode) -> Self {
         PmemCwlQueue { layout, mode, head: 0 }
     }
 
@@ -75,26 +62,9 @@ impl PmemCwlQueue {
 
     /// Inserts one self-validating entry; returns the absolute byte
     /// position it was written at.
-    pub fn insert<B: PmemBackend>(&mut self, mem: &mut B) -> u64 {
-        let cap = self.layout.params.capacity_bytes();
-        let slot_bytes = QueueParams::SLOT_BYTES;
-        let h = self.head;
-        let pos = h % cap;
-        let lap = h / cap;
-        let dst = self.layout.data.add(pos);
-
-        mem.strand(); // Algorithm 1 line 6
-        // Line 7: COPY(data[head], (length, entry), length + sl)
-        mem.store_u64(dst, PAYLOAD_BYTES as u64);
-        mem.store(dst.add(8), &EntryCodec::encode(pos, lap));
-        mem.flush(dst, 8 + PAYLOAD_BYTES as u64);
-        if self.mode == PmemBarrierMode::Full {
-            mem.fence(); // line 8: entry durable before the head claims it
-        }
-        // Line 9: head ← head + length + sl
-        mem.store_u64(self.layout.head, h + slot_bytes);
-        mem.persist(self.layout.head, 8); // line 11
-        self.head = h + slot_bytes;
+    pub fn insert(&mut self, mem: impl PmemBackend) -> u64 {
+        let h = cwl_critical_section(mem, &self.layout, self.mode);
+        self.head = h + QueueParams::SLOT_BYTES;
         h
     }
 }
@@ -163,7 +133,7 @@ impl PmemTwoLockQueue {
     /// # Panics
     ///
     /// Panics if `start` is not an outstanding reservation.
-    pub fn complete<B: PmemBackend>(&mut self, mem: &mut B, start: u64) -> u64 {
+    pub fn complete(&mut self, mut mem: impl PmemBackend, start: u64) -> u64 {
         let cap = self.layout.params.capacity_bytes();
         let r = self
             .pending
@@ -175,14 +145,10 @@ impl PmemTwoLockQueue {
 
         mem.strand(); // line 21: this copy is its own strand
         // Line 22: COPY(data[start], (length, entry), length + sl)
-        let pos = start % cap;
-        let lap = start / cap;
-        let dst = self.layout.data.add(pos);
-        mem.store_u64(dst, PAYLOAD_BYTES as u64);
-        mem.store(dst.add(8), &EntryCodec::encode(pos, lap));
+        let dst = copy_entry(&mut mem, self.layout.data, cap, start);
         // Entry durable before this insert can be marked done (see module
         // docs for why the fence sits here rather than at head-update).
-        mem.persist(dst, 8 + PAYLOAD_BYTES as u64);
+        mem.persist(dst, ENTRY_BYTES);
 
         // Lines 23–31: pop the completed prefix, publish the new head.
         let mut newhead = None;
@@ -216,7 +182,7 @@ mod tests {
     #[test]
     fn cwl_inserts_recover_over_direct_backend() {
         let layout = layout(8, 1);
-        let mut q = PmemCwlQueue::new(layout, PmemBarrierMode::Full);
+        let mut q = PmemCwlQueue::new(layout, BarrierMode::Full);
         let mut mem = DirectPmem::new();
         for _ in 0..5 {
             q.insert(&mut mem);
@@ -229,7 +195,7 @@ mod tests {
     #[test]
     fn cwl_wraps_and_respects_margin() {
         let layout = layout(4, 1);
-        let mut q = PmemCwlQueue::new(layout, PmemBarrierMode::Full);
+        let mut q = PmemCwlQueue::new(layout, BarrierMode::Full);
         let mut mem = DirectPmem::new();
         for _ in 0..10 {
             q.insert(&mut mem);
@@ -242,7 +208,7 @@ mod tests {
     #[test]
     fn elided_mode_is_functionally_identical_without_crashes() {
         let layout = layout(8, 1);
-        let mut q = PmemCwlQueue::new(layout, PmemBarrierMode::Elided);
+        let mut q = PmemCwlQueue::new(layout, BarrierMode::Elided);
         let mut mem = DirectPmem::new();
         for _ in 0..6 {
             q.insert(&mut mem);

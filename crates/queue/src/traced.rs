@@ -11,28 +11,41 @@
 //! race"), turning Copy While Locked's cross-thread persist ordering over
 //! to strong persist atomicity — the paper's *racing epochs*
 //! configuration.
+//!
+//! The Copy While Locked critical section (lines 6–11) is written once,
+//! against [`PmemBackend`]: [`CwlQueue::insert`] runs it over traced
+//! memory inside its MCS lock and the barriers on lines 3, 5 and 13, and
+//! [`crate::pmem::PmemCwlQueue::insert`] runs the same body over
+//! `DirectPmem` or the `pfi` shadow. Every queue's entry copy is
+//! [`crate::entry::copy_entry`].
 
-use crate::entry::{EntryCodec, PAYLOAD_BYTES};
+use crate::entry::{copy_entry, ENTRY_BYTES};
 use mem_trace::locks::McsLock;
 use mem_trace::{Scheduler, ThreadCtx, Trace, TracedMem};
-use persist_mem::{MemAddr, CACHE_LINE_BYTES};
+use persist_mem::{MemAddr, PmemBackend, CACHE_LINE_BYTES};
 
 /// Ring-slot states for the 2LC volatile insert list.
 const FREE: u64 = 0;
 const PENDING: u64 = 1;
 const DONE: u64 = 2;
 
-/// Barrier placement variant for Copy While Locked (Algorithm 1 lines 5
-/// and 11).
+/// Barrier placement variant for Copy While Locked (Algorithm 1 lines 5,
+/// 8 and 11).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierMode {
     /// All barriers present: epochs never race across the lock ("Epoch" in
     /// Table 1).
     Full,
-    /// The barriers around lock accesses are elided: persist epochs race
-    /// intentionally and head-pointer persists are ordered by strong
-    /// persist atomicity alone ("Racing Epochs" in Table 1).
+    /// The barriers around lock accesses (lines 5 and 11) are elided:
+    /// persist epochs race intentionally and head-pointer persists are
+    /// ordered by strong persist atomicity alone ("Racing Epochs" in
+    /// Table 1).
     Racing,
+    /// The line-8 barrier between the entry copy and the head store is
+    /// elided: entry and head share a persist epoch, so a crash may keep
+    /// the head and drop its entry. The known-buggy specimen the `pfi`
+    /// fault injector must catch (stock structures must pass).
+    Elided,
 }
 
 /// Sizing of a persistent queue.
@@ -56,10 +69,7 @@ pub struct QueueParams {
 impl QueueParams {
     /// Bytes per slot: 8-byte length + 100-byte payload, padded to the
     /// next 64-byte boundary (= 128).
-    pub const SLOT_BYTES: u64 = {
-        let raw = 8 + PAYLOAD_BYTES as u64;
-        raw.div_ceil(CACHE_LINE_BYTES) * CACHE_LINE_BYTES
-    };
+    pub const SLOT_BYTES: u64 = ENTRY_BYTES.div_ceil(CACHE_LINE_BYTES) * CACHE_LINE_BYTES;
 
     /// Creates parameters with the given capacity and a recovery margin of
     /// one entry (sound for Copy While Locked with full barriers).
@@ -197,42 +207,48 @@ impl CwlQueue {
     /// annotation placement. Returns the byte position (absolute,
     /// monotone) the entry was written at.
     pub fn insert<S: Scheduler>(&self, ctx: &ThreadCtx<'_, S>) -> u64 {
-        let t = ctx.thread_id().as_u64();
-        let node = VolatileMap::mcs_node(t, 0);
-        let cap = self.layout.params.capacity_bytes();
-        let slot_bytes = QueueParams::SLOT_BYTES;
-
+        let node = VolatileMap::mcs_node(ctx.thread_id().as_u64(), 0);
         ctx.persist_barrier(); // line 3
         self.lock.acquire(ctx, node); // line 4
         // Memory barrier: on a relaxed consistency model the critical
         // section needs acquire ordering; under strict persistency this is
         // also what orders the persists (§4.1). A no-op for the SC models.
         ctx.mem_barrier();
-        if self.mode == BarrierMode::Full {
+        if self.mode != BarrierMode::Racing {
             ctx.persist_barrier(); // line 5 ("removing allows race")
         }
-        ctx.new_strand(); // line 6 (strand persistency only)
-
-        // line 7: COPY(data[head], (length, entry), length + sl)
-        let h = ctx.load_u64(self.layout.head);
-        let pos = h % cap;
-        let lap = h / cap;
-        let payload = EntryCodec::encode(pos, lap);
-        let dst = self.layout.data.add(pos);
-        ctx.store_u64(dst, PAYLOAD_BYTES as u64);
-        ctx.copy_bytes(dst.add(8), &payload);
-
-        ctx.mem_barrier(); // entry data visible before the head store (RMO)
-        ctx.persist_barrier(); // line 8
-        ctx.store_u64(self.layout.head, h + slot_bytes); // line 9
-        if self.mode == BarrierMode::Full {
-            ctx.persist_barrier(); // line 11 ("removing allows race")
-        }
+        let h = cwl_critical_section(ctx, &self.layout, self.mode); // lines 6–11
         ctx.mem_barrier(); // release ordering for the unlock (RMO)
         self.lock.release(ctx, node); // line 12
         ctx.persist_barrier(); // line 13
         h
     }
+}
+
+/// The Copy While Locked critical section (Algorithm 1 lines 6–11) over
+/// any backend: strand, head load, entry copy, line-8 barrier, head store,
+/// line-11 barrier. Returns the absolute byte position the entry was
+/// written at. The caller holds the lock (or is the only inserter).
+pub(crate) fn cwl_critical_section(
+    mut mem: impl PmemBackend,
+    layout: &QueueLayout,
+    mode: BarrierMode,
+) -> u64 {
+    mem.strand(); // line 6 (strand persistency only)
+    // line 7: COPY(data[head], (length, entry), length + sl)
+    let h = mem.load_u64(layout.head);
+    let dst = copy_entry(&mut mem, layout.data, layout.params.capacity_bytes(), h);
+    mem.flush(dst, ENTRY_BYTES);
+    mem.mem_barrier(); // entry data visible before the head store (RMO)
+    if mode != BarrierMode::Elided {
+        mem.fence(); // line 8: entry durable before the head claims it
+    }
+    mem.store_u64(layout.head, h + QueueParams::SLOT_BYTES); // line 9
+    mem.flush(layout.head, 8);
+    if mode != BarrierMode::Racing {
+        mem.fence(); // line 11 ("removing allows race")
+    }
+    h
 }
 
 /// Two-Lock Concurrent (Algorithm 1, `INSERT2LC`).
@@ -295,12 +311,7 @@ impl TwoLockQueue {
         ctx.new_strand(); // line 21
 
         // line 22: COPY(data[start], (length, entry), length + sl)
-        let pos = start % cap;
-        let lap = start / cap;
-        let payload = EntryCodec::encode(pos, lap);
-        let dst = self.layout.data.add(pos);
-        ctx.store_u64(dst, PAYLOAD_BYTES as u64);
-        ctx.copy_bytes(dst.add(8), &payload);
+        copy_entry(ctx, self.layout.data, cap, start);
 
         // Release ordering on a relaxed consistency model: the entry copy
         // must be visible (and, under strict persistency, persistent-

@@ -246,7 +246,7 @@ impl ShardDevice {
             self.stats.bank_conflicts += 1;
             self.stats.bank_wait_ns += start - ready;
             if let Some((pid, tid, sample)) = self.track {
-                if (self.stats.bank_conflicts - 1) % sample == 0 {
+                if (self.stats.bank_conflicts - 1).is_multiple_of(sample) {
                     obsv::tracefmt::instant(
                         pid,
                         tid,

@@ -29,8 +29,6 @@ use obsv::{series, tracefmt};
 use persistency::Model;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Full harness configuration.
@@ -103,6 +101,33 @@ impl ServeConfig {
             rate_ops_per_sec: 2_000_000.0,
             ..ServeConfig::new(kind)
         }
+    }
+
+    /// Rejects configurations the harness cannot run. Error messages name
+    /// the `psim serve` flag that sets each field.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first invalid field: zero shards or keys, a Zipfian
+    /// skew outside `[0, 1)`, a get ratio outside `[0, 1]`, or a
+    /// nonpositive arrival rate.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.shards == 0 {
+            return Err("--shards must be at least 1".into());
+        }
+        if self.keys == 0 {
+            return Err("--keys must be at least 1".into());
+        }
+        if !(0.0..1.0).contains(&self.theta) {
+            return Err(format!("--theta must be in [0, 1), got {}", self.theta));
+        }
+        if !(0.0..=1.0).contains(&self.get_ratio) {
+            return Err(format!("--get-ratio must be in [0, 1], got {}", self.get_ratio));
+        }
+        if self.rate_ops_per_sec <= 0.0 {
+            return Err("--rate must be positive".into());
+        }
+        Ok(())
     }
 
     /// The per-shard device model.
@@ -270,7 +295,7 @@ impl ShardOutcome {
             agg.stall.observe(stall);
         }
         if let Some((pid, tid)) = tel.track {
-            if self.completed % tel.sample == 0 {
+            if self.completed.is_multiple_of(tel.sample) {
                 let name = match op.kind {
                     OpKind::Get => "get",
                     OpKind::Put => "put",
@@ -429,37 +454,6 @@ impl Telemetry {
             ws.finish();
         }
     }
-}
-
-/// Deterministic-order parallel map over shard ids (work stealing by
-/// index; results land in shard order regardless of scheduling).
-fn parallel_shards<R, F>(shards: usize, workers: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let workers = workers.max(1).min(shards.max(1));
-    if workers == 1 {
-        return (0..shards).map(&f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
-                }
-                let r = f(i);
-                *slots[i].lock().unwrap() = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("worker filled every shard slot"))
-        .collect()
 }
 
 /// Dispatches one closed batch back-to-back on the shard, starting no
@@ -867,7 +861,7 @@ pub fn run_model(
     match mode {
         Mode::Virtual => {
             let outcomes =
-                parallel_shards(cfg.shards, workers, |id| simulate_shard(cfg, model, &zipf, id));
+                obsv::par_map(cfg.shards, workers, |id| simulate_shard(cfg, model, &zipf, id));
             merge(model, outcomes, None)
         }
         Mode::Wall => {

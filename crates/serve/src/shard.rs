@@ -12,8 +12,8 @@ use crate::gen::{Op, OpKind};
 use nvram::DeviceConfig;
 use persist_mem::{DirectPmem, MemAddr, PmemBackend, CACHE_LINE_BYTES};
 use persistency::Model;
-use pqueue::pmem::{PmemBarrierMode, PmemCwlQueue};
-use pqueue::traced::{QueueLayout, QueueParams};
+use pqueue::pmem::PmemCwlQueue;
+use pqueue::traced::{BarrierMode, QueueLayout, QueueParams};
 use pstruct::kv::PersistentKv;
 use pstruct::txn::UndoLog;
 
@@ -109,7 +109,7 @@ impl Shard {
                     data: MemAddr::persistent(CACHE_LINE_BYTES),
                     params: QueueParams::new(entries),
                 };
-                Store::Queue(PmemCwlQueue::new(layout, PmemBarrierMode::Full))
+                Store::Queue(PmemCwlQueue::new(layout, BarrierMode::Full))
             }
             StoreKind::Txn => Store::Txn(UndoLog::from_raw(
                 MemAddr::persistent(0),
@@ -134,11 +134,12 @@ impl Shard {
         let mut b = DevicePmem { mem: &mut self.mem, dev: &mut self.dev };
         match (&mut self.store, op.kind) {
             (Store::Kv(kv), OpKind::Put) => {
-                kv.put_pmem(&mut b, op.key, op.seq);
+                b.strand(); // each request is its own strand
+                kv.put(&mut b, op.key, op.seq);
                 self.puts += 1;
             }
             (Store::Kv(kv), OpKind::Get) => {
-                if kv.get_pmem(&mut b, op.key).is_some() {
+                if kv.get(&mut b, op.key).is_some() {
                     self.hits += 1;
                 }
                 self.gets += 1;
@@ -165,7 +166,8 @@ impl Shard {
                 let (from, to) = (MemAddr::persistent(from), MemAddr::persistent(to));
                 let vf = b.load_u64(from);
                 let vt = b.load_u64(to);
-                let mut txn = log.begin_pmem(&mut b);
+                b.strand(); // each transaction is its own strand
+                let mut txn = log.begin(&mut b);
                 txn.write(&mut b, from, vf.wrapping_add(1));
                 txn.write(&mut b, to, vt.wrapping_add(1));
                 txn.commit(&mut b);

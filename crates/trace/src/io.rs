@@ -124,7 +124,7 @@ impl Default for ThreadCodec {
     }
 }
 
-fn codec_state<'a>(st: &'a mut Vec<ThreadCodec>, thread: usize) -> &'a mut ThreadCodec {
+fn codec_state(st: &mut Vec<ThreadCodec>, thread: usize) -> &mut ThreadCodec {
     if thread >= st.len() {
         st.resize_with(thread + 1, ThreadCodec::default);
     }
@@ -501,7 +501,7 @@ pub fn write_trace2_segmented<W: Write>(
     let mut buf: Vec<u8> = Vec::with_capacity(ENCODE_FLUSH + 64);
     let mut index: Vec<SegmentEntry> = Vec::new();
     for (i, e) in trace.events().iter().enumerate() {
-        if segment_events > 0 && i as u64 % segment_events == 0 {
+        if segment_events > 0 && (i as u64).is_multiple_of(segment_events) {
             index.push(SegmentEntry {
                 start_event: i as u64,
                 byte_offset: pos + buf.len() as u64,

@@ -1,7 +1,7 @@
 //! Traced shared memory and the per-thread access API.
 
 use crate::{Event, Op, PackedEvent, Scheduler, ThreadId, Trace};
-use persist_mem::{FxHashMap, MemAddr, MemError, PersistentAllocator};
+use persist_mem::{FxHashMap, MemAddr, MemError, PersistentAllocator, PmemBackend};
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -754,6 +754,46 @@ impl<'m, S: Scheduler> ThreadCtx<'m, S> {
     /// Marks the end of a logical work item.
     pub fn work_end(&self, id: u64) {
         self.record_plain(Op::WorkEnd { id });
+    }
+}
+
+/// Traced memory is a persistence backend: a protocol body written once
+/// against [`PmemBackend`] runs here unchanged and leaves exactly the
+/// events the analyses read. `store` is [`ThreadCtx::copy_bytes`] (one
+/// `Store` per word chunk), `load` is [`ThreadCtx::read_bytes`], the word
+/// ops are the traced word accesses, `fence` is a `PersistBarrier`,
+/// `strand` a `NewStrand` and `mem_barrier` a `MemBarrier`. `flush`
+/// records nothing: the paper's models order persists with barriers, not
+/// with per-line write-backs.
+impl<S: Scheduler> PmemBackend for &ThreadCtx<'_, S> {
+    fn load(&mut self, addr: MemAddr, buf: &mut [u8]) {
+        self.read_bytes(addr, buf);
+    }
+
+    fn store(&mut self, addr: MemAddr, data: &[u8]) {
+        self.copy_bytes(addr, data);
+    }
+
+    fn flush(&mut self, _addr: MemAddr, _len: u64) {}
+
+    fn fence(&mut self) {
+        self.persist_barrier();
+    }
+
+    fn strand(&mut self) {
+        self.new_strand();
+    }
+
+    fn mem_barrier(&mut self) {
+        ThreadCtx::mem_barrier(self);
+    }
+
+    fn load_u64(&mut self, addr: MemAddr) -> u64 {
+        ThreadCtx::load_u64(self, addr)
+    }
+
+    fn store_u64(&mut self, addr: MemAddr, value: u64) {
+        ThreadCtx::store_u64(self, addr, value);
     }
 }
 

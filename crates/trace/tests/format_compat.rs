@@ -27,7 +27,7 @@ fn fixture_trace() -> Trace {
         Event { thread: ThreadId(0), po: 2, op: Op::Store { addr: p, len: 1, value: 0xAB } },
         Event { thread: ThreadId(0), po: 3, op: Op::Load { addr: p, len: 1, value: 0xAB } },
         Event { thread: ThreadId(1), po: 1, op: Op::Rmw { addr: v, len: 8, old: u64::MAX, new: 0 } },
-        Event { thread: ThreadId(0), po: 4, op: Op::Store { addr: p.add(8), len: 3, value: 0x0102_03 } },
+        Event { thread: ThreadId(0), po: 4, op: Op::Store { addr: p.add(8), len: 3, value: 0x01_0203 } },
         Event { thread: ThreadId(0), po: 5, op: Op::PersistBarrier },
         Event { thread: ThreadId(1), po: 2, op: Op::MemBarrier },
         Event { thread: ThreadId(0), po: 6, op: Op::NewStrand },

@@ -65,7 +65,7 @@ fn main() {
             let to = accts[((i + 1) % 4) as usize];
             let vf = ctx.load_u64(from);
             let vt = ctx.load_u64(to);
-            let txn = log.begin(ctx);
+            let mut txn = log.begin(ctx);
             txn.write(ctx, from, vf - 100);
             txn.write(ctx, to, vt + 100);
             txn.commit(ctx);

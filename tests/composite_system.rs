@@ -46,7 +46,7 @@ fn composite_system_is_crash_consistent() {
             for _ in 0..4 {
                 let va = ctx.load_u64(acct_a);
                 let vb = ctx.load_u64(acct_b);
-                let txn = log.begin(ctx);
+                let mut txn = log.begin(ctx);
                 txn.write(ctx, acct_a, va - 50);
                 txn.write(ctx, acct_b, vb + 50);
                 txn.commit(ctx);
