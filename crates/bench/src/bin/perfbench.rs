@@ -23,6 +23,7 @@
 use bench::workloads::{cwl_trace, tlc_trace, StdWorkload};
 use bench::SweepRunner;
 use obsv::runmeta::RunMeta;
+use obsv::Value;
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::profile::TraceProfile;
 use mem_trace::{io as trace_io, EventSource, FreeRunScheduler, ThreadCtx, TracedMem, SLAB_EVENTS};
@@ -34,44 +35,12 @@ use pqueue::traced::BarrierMode;
 use serve::harness::{run_model as serve_run, Mode as ServeMode, ServeConfig};
 use serve::knee::{find_knee, KneeConfig};
 use serve::StoreKind;
-use std::fmt::Write as _;
 use std::time::Instant;
-
-/// DAG-engine throughput of the previous revision's committed
-/// `BENCH_engine.json` — the reference `speedup_vs_baseline` reports
-/// against.
-///
-/// Provenance: 4,593,140 events/s is the `dag_engine.events_per_sec`
-/// recorded at rev 5f28bb5 in `results/bench_baseline.json`, measured
-/// unoversubscribed (1 worker) on the 1-core reference host. The
-/// previous value here (5,959,373) predated that baseline regeneration
-/// — it was recorded with 4 workers oversubscribing the same single
-/// core, so the honest re-measurement read as a phantom 0.77×
-/// "regression" in PR 8's `BENCH_engine.json`. The DAG build itself is
-/// unchanged.
-const BASELINE_DAG_EPS: f64 = 4_593_140.0;
-
-/// Crash-fuzz injection throughput of the previous revision's committed
-/// `BENCH_engine.json`, per stock structure (same config: 500 injections,
-/// 16 ops, epoch, multi-crash on, one worker). Recorded at rev 5f28bb5
-/// on the 1-core reference host.
-const BASELINE_FUZZ_IPS: [(&str, f64); 4] =
-    [("cwl", 1_327_549.0), ("2lc", 1_436_794.0), ("kv", 2_244_105.0), ("txn", 971_285.0)];
-
-/// Capture throughput of the pre-overhaul pipeline (hash-map shards,
-/// sort-based merge, 48-byte buffer entries), measured on the same
-/// standard insert mix at 20k total inserts. The ≥2x capture speedup the
-/// overhaul claims is reported against these.
-const BASELINE_CAPTURE_EPS: [(u32, f64); 2] = [(1, 6_532_533.0), (4, 5_117_423.0)];
-
-/// Pre-overhaul MPTRACE1 serialization on the 1-thread capture:
-/// (bytes/event, write MB/s, read MB/s).
-const BASELINE_V1_SERIALIZE: (f64, f64, f64) = (24.65, 4_759.0, 3_805.0);
 
 /// Standard capture-throughput workload: a persistent insert mix (lock,
 /// 100-byte payload copy, index store, barrier, readback, unlock) — 20
-/// events per insert. Kept identical to the pre-overhaul probe that
-/// recorded [`BASELINE_CAPTURE_EPS`].
+/// events per insert. Kept identical across revisions so the capture
+/// series in `results/bench_baseline.json` stays comparable.
 fn capture_mix(ctx: &ThreadCtx<'_, FreeRunScheduler>, inserts: u64) {
     let t = ctx.thread_id().as_u64();
     let base = MemAddr::persistent(1 << 20).add(t * (1 << 16));
@@ -182,11 +151,11 @@ fn main() {
     let runner = SweepRunner::from_env();
 
     // --- Capture throughput (paged shards + k-way merge) and trace
-    //     serialization bandwidth, against the pre-overhaul baseline. ---
+    //     serialization bandwidth. ---
     let capture_inserts = arg("--capture-inserts", 20_000);
     let mut capture_rows: Vec<(u32, u64, f64, f64)> = Vec::new(); // (threads, events, eps, merge_sec)
     let mut capture_trace_1t = None;
-    for &(threads, _) in &BASELINE_CAPTURE_EPS {
+    for threads in [1u32, 4] {
         let mut best_sec = f64::INFINITY;
         let mut best = None;
         for _ in 0..=5 {
@@ -371,8 +340,8 @@ fn main() {
     if obsv::enabled() {
         // Exercise the render paths once, then drop the time-resolved
         // state so the remaining benches are unaffected.
-        std::hint::black_box(obsv::tracefmt::render("{}"));
-        std::hint::black_box(obsv::series::snapshot().to_json("  "));
+        std::hint::black_box(obsv::tracefmt::render(Value::object()));
+        std::hint::black_box(obsv::series::snapshot().to_json().render());
         obsv::tracefmt::set_recording(false);
         obsv::series::set_window_ns(0);
         obsv::tracefmt::reset();
@@ -427,189 +396,107 @@ fn main() {
     let sweep_cells = 9usize;
     let sweep_workers_effective = runner.workers().min(sweep_cells);
 
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"schema\": \"bench_engine_v3\",").unwrap();
-    writeln!(
-        json,
-        "  \"meta\": {},",
-        RunMeta::collect(runner.workers(), sweep_workers_effective).to_json_object()
-    )
-    .unwrap();
-    writeln!(json, "  \"workers_configured\": {},", runner.workers()).unwrap();
-    writeln!(json, "  \"capture\": {{").unwrap();
-    writeln!(json, "    \"inserts\": {capture_inserts},").unwrap();
-    writeln!(json, "    \"events_per_sec\": {{").unwrap();
-    for (i, (t, _, eps, _)) in capture_rows.iter().enumerate() {
-        let comma = if i + 1 < capture_rows.len() { "," } else { "" };
-        writeln!(json, "      \"t{t}\": {eps:.0}{comma}").unwrap();
+    // Named per-thread, per-structure or per-model series.
+    fn series<K: std::fmt::Display>(rows: impl IntoIterator<Item = (K, Value)>) -> Value {
+        Value::Obj(rows.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"baseline_events_per_sec\": {{").unwrap();
-    for (i, (t, eps)) in BASELINE_CAPTURE_EPS.iter().enumerate() {
-        let comma = if i + 1 < BASELINE_CAPTURE_EPS.len() { "," } else { "" };
-        writeln!(json, "      \"t{t}\": {eps:.0}{comma}").unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"speedup_vs_baseline\": {{").unwrap();
-    for (i, (t, _, eps, _)) in capture_rows.iter().enumerate() {
-        let base = BASELINE_CAPTURE_EPS.iter().find(|(bt, _)| bt == t).unwrap().1;
-        let comma = if i + 1 < capture_rows.len() { "," } else { "" };
-        writeln!(json, "      \"t{t}\": {:.2}{comma}", eps / base).unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"merge_sec\": {{").unwrap();
-    for (i, (t, _, _, msec)) in capture_rows.iter().enumerate() {
-        let comma = if i + 1 < capture_rows.len() { "," } else { "" };
-        writeln!(json, "      \"t{t}\": {msec:.5}{comma}").unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"serialize\": {{").unwrap();
-    writeln!(
-        json,
-        "      \"v1\": {{\"bytes_per_event\": {:.2}, \"write_mb_per_sec\": {:.0}, \"read_mb_per_sec\": {:.0}}},",
-        v1.0, v1.1, v1.2
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "      \"v2\": {{\"bytes_per_event\": {:.2}, \"write_mb_per_sec\": {:.0}, \"read_mb_per_sec\": {:.0}}},",
-        v2.0, v2.1, v2.2
-    )
-    .unwrap();
-    writeln!(
-        json,
-        "      \"baseline_v1\": {{\"bytes_per_event\": {:.2}, \"write_mb_per_sec\": {:.0}, \"read_mb_per_sec\": {:.0}}},",
-        BASELINE_V1_SERIALIZE.0, BASELINE_V1_SERIALIZE.1, BASELINE_V1_SERIALIZE.2
-    )
-    .unwrap();
-    writeln!(json, "      \"v2_vs_v1_bytes_ratio\": {:.3}", v2.0 / v1.0).unwrap();
-    writeln!(json, "    }}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"analyze\": {{").unwrap();
-    writeln!(json, "    \"events\": {},", capture_events_1t as u64).unwrap();
-    writeln!(json, "    \"models\": {},", analyze_configs.len()).unwrap();
-    writeln!(json, "    \"segments\": {analyze_segments},").unwrap();
-    writeln!(json, "    \"total_events_analyzed\": {},", analyze_volume as u64).unwrap();
-    writeln!(json, "    \"decode_mb_per_sec\": {decode_mb_per_sec:.0},").unwrap();
-    writeln!(json, "    \"sequential_events_per_sec\": {analyze_seq_eps:.0},").unwrap();
-    writeln!(json, "    \"chunked_events_per_sec\": {{").unwrap();
-    writeln!(json, "      \"t1\": {analyze_t1_eps:.0},").unwrap();
-    writeln!(json, "      \"t4\": {analyze_t4_eps:.0}").unwrap();
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"speedup_t1_vs_sequential\": {:.2},", analyze_t1_eps / analyze_seq_eps)
-        .unwrap();
-    writeln!(json, "    \"speedup_t4_vs_sequential\": {:.2}", analyze_t4_eps / analyze_seq_eps)
-        .unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"scalar_engine\": {{").unwrap();
-    writeln!(json, "    \"events\": {scalar_events},").unwrap();
-    writeln!(json, "    \"events_per_sec_oneshot\": {scalar_oneshot_eps:.0},").unwrap();
-    writeln!(json, "    \"events_per_sec_reused\": {scalar_reused_eps:.0}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"dag_engine\": {{").unwrap();
-    writeln!(json, "    \"events\": {dag_events},").unwrap();
-    writeln!(json, "    \"nodes\": {dag_nodes},").unwrap();
-    writeln!(json, "    \"events_per_sec\": {dag_eps:.0},").unwrap();
-    writeln!(json, "    \"baseline_events_per_sec\": {BASELINE_DAG_EPS:.0},").unwrap();
-    writeln!(json, "    \"speedup_vs_baseline\": {:.2}", dag_eps / BASELINE_DAG_EPS).unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"crash_fuzz\": {{").unwrap();
-    writeln!(json, "    \"model\": \"{}\",", Model::Epoch.name()).unwrap();
-    writeln!(json, "    \"ops\": {},", fuzz_cfg.ops).unwrap();
-    writeln!(json, "    \"injections\": {},", fuzz_cfg.injections).unwrap();
-    writeln!(json, "    \"workers_effective\": {fuzz_workers_effective},").unwrap();
-    writeln!(json, "    \"injections_per_sec\": {{").unwrap();
-    for (i, (name, ips)) in fuzz_rows.iter().enumerate() {
-        let comma = if i + 1 < fuzz_rows.len() { "," } else { "" };
-        writeln!(json, "      \"{name}\": {ips:.0}{comma}").unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"baseline_injections_per_sec\": {{").unwrap();
-    for (i, (name, ips)) in BASELINE_FUZZ_IPS.iter().enumerate() {
-        let comma = if i + 1 < BASELINE_FUZZ_IPS.len() { "," } else { "" };
-        writeln!(json, "      \"{name}\": {ips:.0}{comma}").unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"speedup_vs_baseline\": {{").unwrap();
-    for (i, (name, ips)) in fuzz_rows.iter().enumerate() {
-        let base = BASELINE_FUZZ_IPS
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, b)| *b)
-            .expect("every stock structure has a baseline");
-        let comma = if i + 1 < fuzz_rows.len() { "," } else { "" };
-        writeln!(json, "      \"{name}\": {:.2}{comma}", ips / base).unwrap();
-    }
-    writeln!(json, "    }}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"serve\": {{").unwrap();
-    writeln!(json, "    \"structure\": \"{}\",", serve_cfg.kind.name()).unwrap();
-    writeln!(json, "    \"shards\": {},", serve_cfg.shards).unwrap();
-    writeln!(json, "    \"keys\": {},", serve_cfg.keys).unwrap();
-    writeln!(json, "    \"ops_per_model\": {},", serve_cfg.ops).unwrap();
-    writeln!(json, "    \"rate_ops_per_sec\": {:.0},", serve_cfg.rate_ops_per_sec).unwrap();
-    writeln!(json, "    \"sim_ops_per_sec\": {serve_sim_ops:.0},").unwrap();
-    writeln!(json, "    \"p99_ns\": {{").unwrap();
-    for (i, (name, p99)) in serve_p99.iter().enumerate() {
-        let comma = if i + 1 < serve_p99.len() { "," } else { "" };
-        writeln!(json, "      \"{name}\": {p99:.0}{comma}").unwrap();
-    }
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"knee\": {{").unwrap();
-    writeln!(json, "      \"batch\": {},", knee_base.batch).unwrap();
-    writeln!(json, "      \"probes\": {},", knee_search.probes).unwrap();
-    writeln!(json, "      \"shed_frac_max\": {},", knee_search.shed_frac).unwrap();
-    writeln!(json, "      \"rate_ops_per_sec\": {{").unwrap();
-    for (i, (name, rate)) in knee_rows.iter().enumerate() {
-        let comma = if i + 1 < knee_rows.len() { "," } else { "" };
-        writeln!(json, "        \"{name}\": {rate:.0}{comma}").unwrap();
-    }
-    writeln!(json, "      }}").unwrap();
-    writeln!(json, "    }},").unwrap();
-    writeln!(json, "    \"batched\": {{").unwrap();
-    writeln!(json, "      \"batch\": {},", batched_cfg.batch).unwrap();
-    writeln!(json, "      \"rate_ops_per_sec\": {overload_rate:.0},").unwrap();
-    writeln!(json, "      \"p99_ns\": {{").unwrap();
-    for (i, (name, p99, ..)) in batched_rows.iter().enumerate() {
-        let comma = if i + 1 < batched_rows.len() { "," } else { "" };
-        writeln!(json, "        \"{name}\": {p99:.0}{comma}").unwrap();
-    }
-    writeln!(json, "      }},").unwrap();
-    writeln!(json, "      \"mean_fill\": {{").unwrap();
-    for (i, (name, _, fill, _)) in batched_rows.iter().enumerate() {
-        let comma = if i + 1 < batched_rows.len() { "," } else { "" };
-        writeln!(json, "        \"{name}\": {fill:.2}{comma}").unwrap();
-    }
-    writeln!(json, "      }},").unwrap();
-    writeln!(json, "      \"absorbed\": {{").unwrap();
-    for (i, (name, _, _, absorbed)) in batched_rows.iter().enumerate() {
-        let comma = if i + 1 < batched_rows.len() { "," } else { "" };
-        writeln!(json, "        \"{name}\": {absorbed}{comma}").unwrap();
-    }
-    writeln!(json, "      }}").unwrap();
-    writeln!(json, "    }}").unwrap();
-    writeln!(json, "  }},").unwrap();
-    writeln!(json, "  \"sweep\": {{").unwrap();
-    writeln!(json, "    \"cells\": {},", GROUPS.len() * MODELS.len() * THREADS.len() + MODELS.len() * THREADS.len()).unwrap();
-    writeln!(json, "    \"events\": {optimized_events},").unwrap();
-    writeln!(json, "    \"serial_baseline_sec\": {baseline_sec:.4},").unwrap();
-    writeln!(json, "    \"optimized_sec\": {optimized_sec:.4},").unwrap();
-    writeln!(json, "    \"speedup\": {speedup:.2},").unwrap();
-    writeln!(json, "    \"workers_effective\": {sweep_workers_effective}").unwrap();
-    writeln!(json, "  }}").unwrap();
-    writeln!(json, "}}").unwrap();
+    let eps = |x: f64| Value::fixed(x, 0);
+    let serialize = |(bytes, write, read): (f64, f64, f64)| {
+        Value::object()
+            .with("bytes_per_event", Value::fixed(bytes, 2))
+            .with("write_mb_per_sec", eps(write))
+            .with("read_mb_per_sec", eps(read))
+    };
+    let capture = Value::object()
+        .with("inserts", capture_inserts)
+        .with(
+            "events_per_sec",
+            series(capture_rows.iter().map(|r| (format!("t{}", r.0), eps(r.2)))),
+        )
+        .with(
+            "merge_sec",
+            series(capture_rows.iter().map(|r| (format!("t{}", r.0), Value::fixed(r.3, 5)))),
+        )
+        .with(
+            "serialize",
+            Value::object()
+                .with("v1", serialize(v1))
+                .with("v2", serialize(v2))
+                .with("v2_vs_v1_bytes_ratio", Value::fixed(v2.0 / v1.0, 3)),
+        );
+    let analyze = Value::object()
+        .with("events", capture_events_1t as u64)
+        .with("models", analyze_configs.len())
+        .with("segments", analyze_segments)
+        .with("total_events_analyzed", analyze_volume as u64)
+        .with("decode_mb_per_sec", eps(decode_mb_per_sec))
+        .with("sequential_events_per_sec", eps(analyze_seq_eps))
+        .with(
+            "chunked_events_per_sec",
+            Value::object().with("t1", eps(analyze_t1_eps)).with("t4", eps(analyze_t4_eps)),
+        )
+        .with("speedup_t1_vs_sequential", Value::fixed(analyze_t1_eps / analyze_seq_eps, 2))
+        .with("speedup_t4_vs_sequential", Value::fixed(analyze_t4_eps / analyze_seq_eps, 2));
+    let scalar_engine = Value::object()
+        .with("events", scalar_events)
+        .with("events_per_sec_oneshot", eps(scalar_oneshot_eps))
+        .with("events_per_sec_reused", eps(scalar_reused_eps));
+    let dag_engine = Value::object()
+        .with("events", dag_events)
+        .with("nodes", dag_nodes)
+        .with("events_per_sec", eps(dag_eps));
+    let crash_fuzz = Value::object()
+        .with("model", Model::Epoch.name())
+        .with("ops", fuzz_cfg.ops)
+        .with("injections", fuzz_cfg.injections)
+        .with("workers_effective", fuzz_workers_effective)
+        .with("injections_per_sec", series(fuzz_rows.iter().map(|&(name, ips)| (name, eps(ips)))));
+    let knee = Value::object()
+        .with("batch", knee_base.batch)
+        .with("probes", knee_search.probes)
+        .with("shed_frac_max", Value::fixed(knee_search.shed_frac, 2))
+        .with("rate_ops_per_sec", series(knee_rows.iter().map(|&(name, rate)| (name, eps(rate)))));
+    let batched = Value::object()
+        .with("batch", batched_cfg.batch)
+        .with("rate_ops_per_sec", eps(overload_rate))
+        .with("p99_ns", series(batched_rows.iter().map(|r| (r.0, eps(r.1)))))
+        .with("mean_fill", series(batched_rows.iter().map(|r| (r.0, Value::fixed(r.2, 2)))))
+        .with("absorbed", series(batched_rows.iter().map(|r| (r.0, r.3.into()))));
+    let serve = Value::object()
+        .with("structure", serve_cfg.kind.name())
+        .with("shards", serve_cfg.shards)
+        .with("keys", serve_cfg.keys)
+        .with("ops_per_model", serve_cfg.ops)
+        .with("rate_ops_per_sec", eps(serve_cfg.rate_ops_per_sec))
+        .with("sim_ops_per_sec", eps(serve_sim_ops))
+        .with("p99_ns", series(serve_p99.iter().map(|&(name, p99)| (name, eps(p99)))))
+        .with("knee", knee)
+        .with("batched", batched);
+    let sweep = Value::object()
+        .with("cells", GROUPS.len() * MODELS.len() * THREADS.len() + MODELS.len() * THREADS.len())
+        .with("events", optimized_events)
+        .with("serial_baseline_sec", Value::fixed(baseline_sec, 4))
+        .with("optimized_sec", Value::fixed(optimized_sec, 4))
+        .with("speedup", Value::fixed(speedup, 2))
+        .with("workers_effective", sweep_workers_effective);
+    let json = Value::object()
+        .with("schema", "bench_engine_v3")
+        .with("meta", RunMeta::collect(runner.workers(), sweep_workers_effective).to_json())
+        .with("workers_configured", runner.workers())
+        .with("capture", capture)
+        .with("analyze", analyze)
+        .with("scalar_engine", scalar_engine)
+        .with("dag_engine", dag_engine)
+        .with("crash_fuzz", crash_fuzz)
+        .with("serve", serve)
+        .with("sweep", sweep)
+        .render();
 
     std::fs::write(&out_path, &json).expect("write BENCH_engine.json");
 
     println!("capture throughput (insert mix, {capture_inserts} inserts):");
     for (t, events, eps, msec) in &capture_rows {
-        let base = BASELINE_CAPTURE_EPS.iter().find(|(bt, _)| bt == t).unwrap().1;
-        println!(
-            "  {t}t: {eps:>12.0} events/s  ({:.2}x baseline, {events} events, merge {:.2} ms)",
-            eps / base,
-            msec * 1e3
-        );
+        println!("  {t}t: {eps:>12.0} events/s  ({events} events, merge {:.2} ms)", msec * 1e3);
     }
     println!(
         "  mptrace1: {:.2} B/event, write {:.0} MB/s, read {:.0} MB/s",
@@ -643,18 +530,14 @@ fn main() {
     println!("engine throughput (canonical CWL trace, {} events):", scalar_events);
     println!("  scalar one-shot : {scalar_oneshot_eps:>12.0} events/s");
     println!("  scalar reused   : {scalar_reused_eps:>12.0} events/s");
-    println!(
-        "  dag ({dag_nodes} nodes)  : {dag_eps:>12.0} events/s  ({:.2}x baseline)",
-        dag_eps / BASELINE_DAG_EPS
-    );
+    println!("  dag ({dag_nodes} nodes)  : {dag_eps:>12.0} events/s");
     println!();
     println!(
         "crash-fuzz throughput ({} injections, {} ops, epoch, multi-crash on, {} workers):",
         fuzz_cfg.injections, fuzz_cfg.ops, fuzz_workers_effective
     );
     for (name, ips) in &fuzz_rows {
-        let base = BASELINE_FUZZ_IPS.iter().find(|(n, _)| n == name).map(|(_, b)| *b).unwrap();
-        println!("  {name:<4}: {ips:>12.0} injections/s  ({:.2}x baseline)", ips / base);
+        println!("  {name:<4}: {ips:>12.0} injections/s");
     }
     println!();
     println!(

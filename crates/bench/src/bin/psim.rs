@@ -28,7 +28,7 @@ use bench::fmt::num;
 use bench::profile as profcli;
 use bench::sweep::{SelfTimer, SweepRunner};
 use obsv::runmeta::RunMeta;
-use obsv::{series, tracefmt};
+use obsv::{series, tracefmt, Value};
 use mem_trace::mmapio::MappedTrace;
 use mem_trace::{io as trace_io, SeededScheduler, Trace, TracedMem};
 use persist_mem::{AtomicPersistSize, MemAddr, TrackingGranularity};
@@ -40,8 +40,8 @@ use pfi::fuzz::{shard_ranges, CellPlan, FuzzCell, FuzzConfig, ShardReport, Struc
 use pqueue::bounded::{bounded_crash_invariant, run_bounded_workload, BoundedLayout};
 use pqueue::recovery::crash_invariant;
 use pqueue::traced::{run_2lc_workload, run_cwl_workload, BarrierMode, QueueLayout, QueueParams};
-use serve::harness::{render_json, render_table, run_models, Mode, ServeConfig};
-use serve::knee::{find_knees, render_knee_json, render_knee_table, KneeConfig};
+use serve::harness::{render_table, report_json, run_models, Mode, ServeConfig};
+use serve::knee::{find_knees, knee_json, render_knee_table, KneeConfig};
 use serve::StoreKind;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -64,7 +64,11 @@ impl Args {
     fn fnum(&self, flag: &str, default: f64) -> Result<f64, String> {
         match self.get(flag) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{flag} expects a number, got {v}")),
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|x: &f64| x.is_finite())
+                .ok_or_else(|| format!("{flag} expects a finite number, got {v}")),
         }
     }
 
@@ -75,19 +79,6 @@ impl Args {
     fn has(&self, flag: &str) -> bool {
         self.0.iter().any(|a| a == flag)
     }
-}
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            '\n' => "\\n".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 fn parse_model(s: &str) -> Result<Model, String> {
@@ -166,33 +157,36 @@ fn arm_observability(args: &Args) -> Result<Option<String>, String> {
 /// Writes the recorded timeline as Chrome-trace-event JSON (loadable in
 /// Perfetto / `chrome://tracing`).
 fn write_timeline(path: &str, meta: &RunMeta) -> Result<(), String> {
-    let json = tracefmt::render(&meta.to_json_object());
+    let json = tracefmt::render(meta.to_json());
     std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))
 }
 
-/// Splices the windowed series (restricted to `prefix`) into a rendered
-/// report as a top-level `"series"` member, just before the closing
-/// brace. Returns the report unchanged when the series layer is off.
-fn splice_series(json: String, prefix: &str) -> String {
-    if !series::active() {
-        return json;
+/// Renders a `--json` report with the observability members the run
+/// asked for, each restricted to the subcommand's metric `prefix`: the
+/// windowed `series` when `--series-ns` armed it, and the whole-run
+/// `obsv` counters and histograms under `--obsv`.
+fn render_report(args: &Args, mut report: Value, prefix: &str) -> String {
+    if series::active() {
+        report.insert("series", series::snapshot().filter_prefix(prefix).to_json());
     }
-    obsv::flush();
-    let block = series::snapshot().filter_prefix(prefix).to_json("  ");
-    let Some(pos) = json.rfind('}') else { return json };
-    let head = json[..pos].trim_end();
-    format!("{head},\n  \"series\": {block}\n{}", &json[pos..])
+    if args.has("--obsv") {
+        report.insert("obsv", obsv::snapshot().filter_prefix(prefix).to_json());
+    }
+    report.render()
 }
 
-/// Splices the obsv counter/histogram snapshot (restricted to `prefix`)
-/// into a rendered report as a top-level `"obsv"` member.
-fn splice_obsv(json: String, prefix: &str) -> String {
-    obsv::flush();
-    let block = obsv::snapshot().filter_prefix(prefix).to_json();
-    let block = block.trim_end().replace('\n', "\n  ");
-    let Some(pos) = json.rfind('}') else { return json };
-    let head = json[..pos].trim_end();
-    format!("{head},\n  \"obsv\": {block}\n{}", &json[pos..])
+/// Renders `report` as [`render_report`] does, writes it to `--out` when
+/// given, and prints it under `--json`. Returns whether it printed, so
+/// the caller prints its table otherwise.
+fn emit_report(args: &Args, report: Value, prefix: &str) -> Result<bool, String> {
+    let json = render_report(args, report, prefix);
+    if let Some(path) = args.get("--out") {
+        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
+    }
+    if args.has("--json") {
+        print!("{json}");
+    }
+    Ok(args.has("--json"))
 }
 
 fn cmd_capture(args: &Args) -> Result<u64, String> {
@@ -327,28 +321,26 @@ fn cmd_analyze(args: &Args) -> Result<u64, String> {
     let passes = models.len() as u64;
     let meta = RunMeta::collect(runner.workers(), runner.effective_workers(configs.len() + 1));
     if args.has("--json") {
-        let mut rows = Vec::new();
-        for (model, r) in models.iter().zip(&reports) {
-            rows.push(format!(
-                "    {{\"model\": \"{}\", \"critical_path\": {}, \"critical_path_per_insert\": {:.3}, \"persists\": {}, \"coalesced\": {}, \"barriers\": {}}}",
-                model,
-                r.critical_path,
-                r.critical_path_per_work(),
-                r.stats.persist_ops,
-                r.stats.coalesced,
-                r.stats.barriers
-            ));
-        }
-        let json = format!(
-            "{{\n  \"schema\": \"psim_analyze_v1\",\n  \"meta\": {},\n  \"trace\": {{\"events\": {}, \"persists\": {}, \"persist_barriers\": {}, \"work_items\": {}}},\n  \"models\": [\n{}\n  ]\n}}",
-            meta.to_json_object(),
-            profile.events,
-            profile.persists,
-            profile.persist_barriers,
-            profile.work_items,
-            rows.join(",\n")
-        );
-        println!("{}", splice_series(json, "analyze."));
+        let rows = models.iter().zip(&reports).map(|(model, r)| {
+            Value::object()
+                .with("model", model.name())
+                .with("critical_path", r.critical_path)
+                .with("critical_path_per_insert", Value::fixed(r.critical_path_per_work(), 3))
+                .with("persists", r.stats.persist_ops)
+                .with("coalesced", r.stats.coalesced)
+                .with("barriers", r.stats.barriers)
+        });
+        let trace = Value::object()
+            .with("events", profile.events)
+            .with("persists", profile.persists)
+            .with("persist_barriers", profile.persist_barriers)
+            .with("work_items", profile.work_items);
+        let report = Value::object()
+            .with("schema", "psim_analyze_v1")
+            .with("meta", meta.to_json())
+            .with("trace", trace)
+            .with("models", rows.collect::<Value>());
+        print!("{}", render_report(args, report, "analyze."));
         if let Some(path) = &timeline {
             write_timeline(path, &meta)?;
         }
@@ -415,12 +407,14 @@ fn cmd_cuts(args: &Args) -> Result<u64, String> {
     let sizes: Vec<usize> = cuts.iter().map(|c| c.len()).collect();
     let max = sizes.iter().copied().max().unwrap_or(0);
     if args.has("--json") {
-        println!(
-            "{{\n  \"schema\": \"psim_cuts_v1\",\n  \"meta\": {},\n  \"model\": \"{model}\",\n  \"persists\": {},\n  \"states_sampled\": {},\n  \"max_cut\": {max}\n}}",
-            RunMeta::collect(1, 1).to_json_object(),
-            dag.len(),
-            cuts.len()
-        );
+        let report = Value::object()
+            .with("schema", "psim_cuts_v1")
+            .with("meta", RunMeta::collect(1, 1).to_json())
+            .with("model", model.name())
+            .with("persists", dag.len())
+            .with("states_sampled", cuts.len())
+            .with("max_cut", max);
+        print!("{}", report.render());
         return Ok(events);
     }
     println!("model {model}: {} persists, {} distinct recovery states sampled", dag.len(), cuts.len());
@@ -460,18 +454,14 @@ fn cmd_crash(args: &Args) -> Result<u64, String> {
         check(&dag, exploration, crash_invariant(layout)).map_err(|e| e.to_string())?
     };
     if args.has("--json") {
-        let violations = report
-            .violations
-            .iter()
-            .take(3)
-            .map(|v| format!("\"{}\"", esc(&v.to_string())))
-            .collect::<Vec<_>>()
-            .join(", ");
-        println!(
-            "{{\n  \"schema\": \"psim_crash_v1\",\n  \"meta\": {},\n  \"model\": \"{model}\",\n  \"consistent\": {},\n  \"violations\": [{violations}]\n}}",
-            RunMeta::collect(1, 1).to_json_object(),
-            report.is_consistent()
-        );
+        let violations = report.violations.iter().take(3).map(|v| v.to_string().into());
+        let json = Value::object()
+            .with("schema", "psim_crash_v1")
+            .with("meta", RunMeta::collect(1, 1).to_json())
+            .with("model", model.name())
+            .with("consistent", report.is_consistent())
+            .with("violations", violations.collect::<Value>());
+        print!("{}", json.render());
     } else {
         println!("model {model}: {report}");
         if !report.is_consistent() {
@@ -534,17 +524,12 @@ fn cmd_crash_fuzz(args: &Args) -> Result<u64, String> {
     let reports: Vec<_> =
         plans.iter().zip(&grouped).map(|(plan, shards)| plan.merge(shards)).collect();
     let meta = RunMeta::collect(runner.workers(), runner.effective_workers(items.len()));
-    let json = pfi::report::render_with_meta(&cfg, &reports, Some(&meta.to_json_object()));
-    let json = splice_series(json, "pfi.");
+    let printed =
+        emit_report(args, pfi::report::to_json(&cfg, &reports, Some(meta.to_json())), "pfi.")?;
     if let Some(path) = &timeline {
         write_timeline(path, &meta)?;
     }
-    if let Some(path) = args.get("--out") {
-        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if args.has("--json") {
-        print!("{json}");
-    } else {
+    if !printed {
         println!(
             "crash-fuzz: {} cells, {} injections each, ops {}, seed {}, multi-crash {}, torn {}, {} workers",
             cells.len(),
@@ -597,6 +582,9 @@ fn cmd_profile(args: &Args) -> Result<u64, String> {
     let cfg = config_from(args, model)?;
     let top = args.num("--top", 10)? as usize;
     let max_barriers = args.num("--barriers", 64)? as usize;
+    if args.has("--obsv") {
+        obsv::set_enabled(true);
+    }
 
     let runner = SweepRunner::from_env();
     let report = profcli::run_profile(&trace, &cfg, max_barriers, &runner)
@@ -605,15 +593,8 @@ fn cmd_profile(args: &Args) -> Result<u64, String> {
     // re-analysis per scored barrier.
     let events = trace.events().len() as u64 * (1 + report.barriers.len() as u64);
 
-    if args.has("--json") {
-        let meta =
-            RunMeta::collect(runner.workers(), runner.effective_workers(report.barriers.len()));
-        let json = profcli::render_json(&report, &meta, top);
-        if let Some(path) = args.get("--out") {
-            std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-        }
-        print!("{json}");
-    } else {
+    let meta = RunMeta::collect(runner.workers(), runner.effective_workers(report.barriers.len()));
+    if !emit_report(args, profcli::report_json(&report, meta.to_json(), top), "profile.")? {
         print!("{}", profcli::render_table(&report, top));
     }
     Ok(events)
@@ -634,11 +615,11 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
     cfg.rate_ops_per_sec = args.fnum("--rate", cfg.rate_ops_per_sec)?;
     cfg.theta = args.fnum("--theta", cfg.theta)?;
     cfg.get_ratio = args.fnum("--get-ratio", cfg.get_ratio)?;
-    cfg.qdepth = args.num("--qdepth", cfg.qdepth as u64)?.max(1) as usize;
-    cfg.batch = args.num("--batch", cfg.batch as u64)?.max(1) as usize;
+    cfg.qdepth = args.num("--qdepth", cfg.qdepth as u64)? as usize;
+    cfg.batch = args.num("--batch", cfg.batch as u64)? as usize;
     cfg.batch_wait_ns = args.fnum("--batch-wait-ns", cfg.batch_wait_ns)?;
     cfg.cpu_ns = args.fnum("--cpu-ns", cfg.cpu_ns)?;
-    cfg.banks = args.num("--banks", cfg.banks as u64)?.max(1) as usize;
+    cfg.banks = args.num("--banks", cfg.banks as u64)? as usize;
     cfg.write_latency_ns = args.fnum("--latency", cfg.write_latency_ns)?;
     cfg.interleave_bytes = args.num("--interleave", cfg.interleave_bytes)?;
     cfg.seed = args.num("--seed", cfg.seed)?;
@@ -664,40 +645,21 @@ fn cmd_serve(args: &Args) -> Result<u64, String> {
         let results = find_knees(&cfg, &models, &knee)?;
         let runs: u64 = results.iter().map(|k| k.runs as u64).sum();
         let meta = RunMeta::collect(runner.workers(), runner.effective_workers(cfg.shards));
-        let json = render_knee_json(&cfg, &knee, &results, &meta.to_json_object());
-        let json = splice_series(json, "serve.");
+        if !emit_report(args, knee_json(&cfg, &knee, &results, meta.to_json()), "serve.")? {
+            print!("{}", render_knee_table(&cfg, &knee, &results));
+        }
         if let Some(path) = &timeline {
             write_timeline(path, &meta)?;
-        }
-        if let Some(path) = args.get("--out") {
-            std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-        }
-        if args.has("--json") {
-            print!("{json}");
-        } else {
-            print!("{}", render_knee_table(&cfg, &knee, &results));
         }
         return Ok(cfg.ops * runs);
     }
     let reports = run_models(&cfg, &models, mode, runner.workers())?;
     let meta = RunMeta::collect(runner.workers(), runner.effective_workers(cfg.shards));
-    let mut json = render_json(&cfg, mode, &reports, &meta.to_json_object());
-    json = splice_series(json, "serve.");
-    if args.has("--obsv") {
-        // Whole-run counters and histograms the report's own summary rows
-        // don't carry (see the harness `serve.*` obsv block).
-        json = splice_obsv(json, "serve.");
+    if !emit_report(args, report_json(&cfg, mode, &reports, meta.to_json()), "serve.")? {
+        print!("{}", render_table(&cfg, mode, &reports));
     }
     if let Some(path) = &timeline {
         write_timeline(path, &meta)?;
-    }
-    if let Some(path) = args.get("--out") {
-        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-    }
-    if args.has("--json") {
-        print!("{json}");
-    } else {
-        print!("{}", render_table(&cfg, mode, &reports));
     }
     Ok(cfg.ops * models.len() as u64)
 }
@@ -706,14 +668,14 @@ fn usage() -> String {
     "usage: psim <capture|analyze|cuts|crash|crash-fuzz|profile|serve> [flags]\n\
      capture:    --queue cwl|2lc|bounded [--mode full|racing] [--threads N] [--inserts N]\n\
                  [--seed N] [--capacity N] --out FILE [--format 1|2]  (2 = compact MPTRACE2)\n\
-     analyze:    --trace FILE [--model NAME] [--atomic N] [--tracking N] [--json]\n\
+     analyze:    --trace FILE [--model NAME] [--atomic N] [--tracking N] [--json] [--obsv]\n\
      cuts:       --trace FILE [--model NAME] [--samples N] [--seed N] [--json]\n\
      crash:      --trace FILE [--model NAME] [--samples N] [--seed N] [--json]\n\
      crash-fuzz: [--structure all|stock|cwl|cwl-elided|2lc|kv|txn] [--model all|NAME]\n\
                  [--ops N] [--injections N] [--seed N] [--no-multi-crash] [--torn]\n\
-                 [--json] [--out FILE] [--serial]\n\
+                 [--json] [--out FILE] [--serial] [--obsv]\n\
      profile:    --trace FILE [--model NAME] [--atomic N] [--tracking N] [--top N]\n\
-                 [--barriers N] [--json] [--out FILE] [--serial]\n\
+                 [--barriers N] [--json] [--out FILE] [--serial] [--obsv]\n\
      serve:      [--structure kv|queue|txn] [--model all|NAME] [--shards N] [--keys N]\n\
                  [--ops N] [--rate OPS_PER_SEC] [--theta F] [--get-ratio F] [--qdepth N]\n\
                  [--batch N] [--batch-wait-ns F] [--cpu-ns F] [--banks N] [--latency NS]\n\
@@ -724,7 +686,7 @@ fn usage() -> String {
                  [--timeline FILE.json]  write a Perfetto-loadable trace-event timeline\n\
                  [--timeline-sample N]   keep 1-in-N request spans / stall markers (default 16)\n\
                  [--series-ns N]         windowed metric series, embedded in --json reports\n\
-                 (serve --obsv embeds the whole-run obsv counter block in the report)\n\
+                 (--obsv embeds the whole-run obsv counters in the --json report)\n\
      analysis commands exit nonzero when a consistency check fails"
         .into()
 }

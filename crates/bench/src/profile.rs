@@ -7,16 +7,16 @@
 //! full timing pass) and rendering the report as a human table or a JSON
 //! artifact.
 //!
-//! Rendering is deterministic: everything below the single-line `meta`
-//! object depends only on (trace, config, top, max_barriers), never on
-//! worker count — the determinism tests diff the output across worker
-//! counts after dropping the `"meta"` line.
+//! Rendering is deterministic: everything but the `meta` object depends
+//! only on (trace, config, top, max_barriers), never on worker count —
+//! the determinism tests compare the parsed reports across worker counts
+//! with `meta` removed.
 
 use crate::sweep::SweepRunner;
 use mem_trace::Trace;
-use obsv::runmeta::RunMeta;
+use obsv::Value;
 use persistency::dag::{DagError, PersistDag};
-use persistency::profile::{profile_dag, score_barrier, EdgeKind, ProfileReport};
+use persistency::profile::{profile_dag, record_metrics, score_barrier, EdgeKind, ProfileReport};
 use persistency::AnalysisConfig;
 use std::fmt::Write as _;
 
@@ -49,6 +49,7 @@ pub fn run_profile(
     // candidate order regardless of worker interleaving.
     report.barriers =
         runner.run(&candidates, |_, &i| score_barrier(trace, config, baseline, i));
+    record_metrics(&report);
     Ok(report)
 }
 
@@ -142,102 +143,70 @@ pub fn render_table(r: &ProfileReport, top: usize) -> String {
     out
 }
 
-/// Renders the machine-readable profile artifact. The `meta` object is
-/// the only line that varies between runs with identical inputs.
-pub fn render_json(r: &ProfileReport, meta: &RunMeta, top: usize) -> String {
+/// The machine-readable profile artifact, with the run's provenance
+/// object as `meta`: the only line that varies between runs with
+/// identical inputs.
+pub fn report_json(r: &ProfileReport, meta: Value, top: usize) -> Value {
     let cfg = &r.config;
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"psim_profile_v1\",");
-    let _ = writeln!(out, "  \"meta\": {},", meta.to_json_object());
-    let _ = writeln!(out, "  \"model\": \"{}\",", cfg.model);
-    let _ = writeln!(out, "  \"atomic_persist_bytes\": {},", cfg.atomic_persist.bytes());
-    let _ = writeln!(out, "  \"tracking_bytes\": {},", cfg.tracking.bytes());
-    let _ = writeln!(out, "  \"critical_path\": {},", r.critical_path);
-    let _ = writeln!(out, "  \"timing_critical_path\": {},", r.timing_critical_path);
-    let _ = writeln!(out, "  \"persist_nodes\": {},", r.persist_nodes);
-
-    let kinds: Vec<String> = r
+    let edge_counts = r
         .edge_counts()
         .iter()
         .filter(|(k, _)| *k != EdgeKind::Root)
-        .map(|(k, c)| format!("\"{}\": {c}", k.name()))
+        .map(|(k, c)| (k.name().to_string(), Value::from(*c)))
         .collect();
-    let _ = writeln!(out, "  \"edge_counts\": {{{}}},", kinds.join(", "));
-
-    let srcs: Vec<String> = r
-        .sources
-        .iter()
-        .take(top)
-        .map(|s| {
-            format!(
-                "    {{\"thread\": {}, \"epoch\": {}, \"steps\": {}, \"first_level\": {}}}",
-                s.thread.0, s.epoch, s.steps, s.first_level
-            )
-        })
-        .collect();
-    let _ = writeln!(out, "  \"sources\": [\n{}\n  ],", srcs.join(",\n"));
-
-    let _ = writeln!(out, "  \"path_len\": {},", r.path.len());
-    let steps: Vec<String> = r
-        .path
-        .iter()
-        .take(JSON_PATH_CAP)
-        .map(|s| {
-            let work =
-                s.work.map(|w| w.to_string()).unwrap_or_else(|| "null".to_string());
-            format!(
-                "    {{\"node\": {}, \"level\": {}, \"thread\": {}, \"epoch\": {}, \"work\": {work}, \"addr\": {}, \"len\": {}, \"trace_index\": {}, \"edge\": \"{}\"}}",
-                s.node,
-                s.level,
-                s.thread.0,
-                s.epoch,
-                s.addr.offset(),
-                s.len,
-                s.trace_index,
-                s.edge.name()
-            )
-        })
-        .collect();
-    if steps.is_empty() {
-        let _ = writeln!(out, "  \"path\": [],");
-    } else {
-        let _ = writeln!(out, "  \"path\": [\n{}\n  ],", steps.join(",\n"));
-    }
-
-    let checks: Vec<String> = r
-        .barriers
-        .iter()
-        .map(|b| {
-            format!(
-                "      {{\"trace_index\": {}, \"thread\": {}, \"kind\": \"{}\", \"critical_path_without\": {}, \"redundant\": {}}}",
-                b.trace_index,
-                b.thread.0,
-                b.op.name(),
-                b.critical_path_without,
-                b.redundant
-            )
-        })
-        .collect();
-    let redundant = r.barriers.iter().filter(|b| b.redundant).count();
-    let _ = writeln!(out, "  \"barriers\": {{");
-    let _ = writeln!(out, "    \"candidates\": {},", r.barrier_candidates);
-    let _ = writeln!(out, "    \"scored\": {},", r.barriers.len());
-    let _ = writeln!(out, "    \"redundant\": {redundant},");
-    if checks.is_empty() {
-        let _ = writeln!(out, "    \"checks\": []");
-    } else {
-        let _ = writeln!(out, "    \"checks\": [\n{}\n    ]", checks.join(",\n"));
-    }
-    let _ = writeln!(out, "  }}");
-    let _ = writeln!(out, "}}");
-    out
+    let sources = r.sources.iter().take(top).map(|s| {
+        Value::object()
+            .with("thread", s.thread.0)
+            .with("epoch", s.epoch)
+            .with("steps", s.steps)
+            .with("first_level", s.first_level)
+    });
+    let path = r.path.iter().take(JSON_PATH_CAP).map(|s| {
+        Value::object()
+            .with("node", s.node)
+            .with("level", s.level)
+            .with("thread", s.thread.0)
+            .with("epoch", s.epoch)
+            .with("work", s.work)
+            .with("addr", s.addr.offset())
+            .with("len", s.len)
+            .with("trace_index", s.trace_index)
+            .with("edge", s.edge.name())
+    });
+    let checks = r.barriers.iter().map(|b| {
+        Value::object()
+            .with("trace_index", b.trace_index)
+            .with("thread", b.thread.0)
+            .with("kind", b.op.name())
+            .with("critical_path_without", b.critical_path_without)
+            .with("redundant", b.redundant)
+    });
+    let barriers = Value::object()
+        .with("candidates", r.barrier_candidates)
+        .with("scored", r.barriers.len())
+        .with("redundant", r.barriers.iter().filter(|b| b.redundant).count())
+        .with("checks", checks.collect::<Value>());
+    Value::object()
+        .with("schema", "psim_profile_v1")
+        .with("meta", meta)
+        .with("model", cfg.model.name())
+        .with("atomic_persist_bytes", cfg.atomic_persist.bytes())
+        .with("tracking_bytes", cfg.tracking.bytes())
+        .with("critical_path", r.critical_path)
+        .with("timing_critical_path", r.timing_critical_path)
+        .with("persist_nodes", r.persist_nodes)
+        .with("edge_counts", Value::Obj(edge_counts))
+        .with("sources", sources.collect::<Value>())
+        .with("path_len", r.path.len())
+        .with("path", path.collect::<Value>())
+        .with("barriers", barriers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mem_trace::{FreeRunScheduler, TracedMem};
+    use obsv::RunMeta;
     use persistency::Model;
 
     fn sample_trace() -> Trace {
@@ -269,13 +238,10 @@ mod tests {
                 workers_configured: workers,
                 workers_effective: workers,
             };
-            // The meta line varies by construction; everything else must
-            // not.
-            let json: String = render_json(&r, &meta, 10)
-                .lines()
-                .filter(|l| !l.trim_start().starts_with("\"meta\""))
-                .collect::<Vec<_>>()
-                .join("\n");
+            // The meta object varies by construction; everything else
+            // must not.
+            let mut json = report_json(&r, meta.to_json(), 10);
+            assert!(json.remove("meta").is_some());
             outputs.push((render_table(&r, 10), json));
         }
         assert_eq!(outputs[0], outputs[1]);

@@ -1,5 +1,6 @@
 //! End-to-end tests of the `psim` CLI binary.
 
+use obsv::json::{parse, Value};
 use std::process::Command;
 
 fn psim() -> Command {
@@ -100,26 +101,24 @@ fn profile_json_is_byte_identical_across_worker_counts() {
         .expect("capture")
         .success());
 
-    let run = |threads: &str| -> String {
+    let run = |threads: &str| -> Value {
         let out = psim()
             .args(["profile", "--trace", &trace, "--model", "epoch", "--barriers", "16", "--json"])
             .env("SWEEP_THREADS", threads)
             .output()
             .expect("profile");
         assert!(out.status.success(), "profile failed: {}", String::from_utf8_lossy(&out.stderr));
-        // Only the single-line meta object may vary (it records the
-        // effective worker count and timestamp).
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.trim_start().starts_with("\"meta\""))
-            .collect::<Vec<_>>()
-            .join("\n")
+        // Only the meta object may vary (it records the effective worker
+        // count and timestamp).
+        let mut doc = parse(&String::from_utf8_lossy(&out.stdout)).expect("profile JSON parses");
+        assert!(doc.remove("meta").is_some());
+        doc
     };
     let serial = run("1");
     assert_eq!(serial, run("4"), "profile JSON diverged between 1 and 4 workers");
-    assert!(serial.contains("\"schema\": \"psim_profile_v1\""));
-    assert!(serial.contains("\"critical_path\""));
-    assert!(serial.contains("\"checks\""));
+    assert_eq!(serial.get("schema").and_then(Value::as_str), Some("psim_profile_v1"));
+    assert!(serial.get("critical_path").and_then(Value::as_u64).is_some());
+    assert!(serial.get("barriers").and_then(|b| b.get("checks")).is_some());
 }
 
 #[test]
@@ -205,6 +204,122 @@ fn serve_rejects_zero_shards() {
 #[test]
 fn serve_rejects_zero_keys() {
     assert_serve_rejects_zero("--keys");
+}
+
+#[test]
+fn serve_rejects_zero_qdepth() {
+    assert_serve_rejects_zero("--qdepth");
+}
+
+#[test]
+fn serve_rejects_zero_batch() {
+    assert_serve_rejects_zero("--batch");
+}
+
+#[test]
+fn serve_rejects_zero_banks() {
+    assert_serve_rejects_zero("--banks");
+}
+
+/// Runs `psim serve --smoke --json` with extra flags and expects a
+/// nonzero exit naming `flag` as needing a finite number, with no report
+/// on stdout.
+fn assert_serve_rejects_nonfinite(extra: &[&str], flag: &str) {
+    let out = psim()
+        .args(["serve", "--smoke", "--structure", "kv", "--ops", "2000", "--json"])
+        .args(extra)
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "{extra:?} must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("{flag} expects a finite number")), "{extra:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{extra:?} panicked: {stderr}");
+    assert!(out.stdout.is_empty(), "{extra:?} must not print a report");
+}
+
+#[test]
+fn serve_rejects_nan_rate() {
+    assert_serve_rejects_nonfinite(&["--rate", "nan"], "--rate");
+}
+
+#[test]
+fn serve_rejects_infinite_rate() {
+    assert_serve_rejects_nonfinite(&["--rate", "inf"], "--rate");
+}
+
+#[test]
+fn serve_rejects_nan_batch_wait() {
+    assert_serve_rejects_nonfinite(&["--batch-wait-ns", "nan"], "--batch-wait-ns");
+}
+
+#[test]
+fn serve_rejects_infinite_knee_p99() {
+    assert_serve_rejects_nonfinite(&["--knee", "--knee-p99", "inf"], "--knee-p99");
+}
+
+/// Runs psim with `args`, which must succeed, and returns its stdout.
+fn stdout_of(args: &[&str]) -> String {
+    let out = psim().args(args).output().expect("run psim");
+    assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("UTF-8 report")
+}
+
+/// Every `--json` producer, on small inputs: the output parses with the
+/// workspace's JSON reader, carries its schema tag, and keeps `meta` on
+/// the one line that `grep -v '^  "meta"'` drops.
+#[test]
+fn every_json_report_parses_with_schema_and_one_meta_line() {
+    let trace = tmp("schema.trace");
+    let timeline = tmp("schema.timeline.json");
+    stdout_of(&["capture", "--queue", "cwl", "--threads", "2", "--inserts", "6", "--out", &trace]);
+    let serve = ["serve", "--smoke", "--ops", "3000", "--shards", "2", "--keys", "500", "--json"];
+    let reports = [
+        ("psim_analyze_v1", stdout_of(&["analyze", "--trace", &trace, "--json"])),
+        ("psim_cuts_v1", stdout_of(&["cuts", "--trace", &trace, "--samples", "10", "--json"])),
+        ("psim_crash_v1", stdout_of(&["crash", "--trace", &trace, "--samples", "10", "--json"])),
+        (
+            "pfi_crash_fuzz_v1",
+            stdout_of(&[
+                "crash-fuzz", "--structure", "stock", "--ops", "8", "--injections", "20", "--json",
+            ]),
+        ),
+        (
+            "psim_profile_v1",
+            stdout_of(&["profile", "--trace", &trace, "--barriers", "4", "--json"]),
+        ),
+        ("psim_serve_v1", stdout_of(&[&serve[..], &["--timeline", &timeline]].concat())),
+        (
+            "psim_serve_knee_v1",
+            stdout_of(&[&serve[..], &["--knee", "--knee-probes", "2"]].concat()),
+        ),
+    ];
+    let timeline = std::fs::read_to_string(&timeline).expect("timeline written");
+    for (schema, text) in reports.iter().map(|(s, t)| (*s, t)).chain([("timeline", &timeline)]) {
+        let doc = parse(text).unwrap_or_else(|e| panic!("{schema}: {e}\n{text}"));
+        if schema == "timeline" {
+            assert_eq!(doc.get("displayTimeUnit").and_then(Value::as_str), Some("ns"));
+        } else {
+            assert_eq!(doc.get("schema").and_then(Value::as_str), Some(schema), "{text}");
+        }
+        let meta_lines: Vec<&str> = text.lines().filter(|l| l.contains("\"meta\"")).collect();
+        assert_eq!(meta_lines.len(), 1, "{schema}: one meta line");
+        assert!(meta_lines[0].starts_with("  \"meta\": {") && meta_lines[0].ends_with("},"));
+        let meta = doc.get("meta").expect("meta member");
+        assert!(meta.get("git_rev").is_some() && meta.get("workers_effective").is_some());
+    }
+}
+
+#[test]
+fn analyze_obsv_embeds_analyze_counters() {
+    let trace = tmp("obsv.trace");
+    stdout_of(&["capture", "--queue", "cwl", "--inserts", "10", "--out", &trace]);
+    let text = stdout_of(&["analyze", "--trace", &trace, "--json", "--obsv"]);
+    let doc = parse(&text).expect("analyze --json parses");
+    let counters = doc.get("obsv").and_then(|o| o.get("counters")).expect("obsv counters");
+    let Value::Obj(members) = counters else { panic!("counters is an object: {text}") };
+    assert!(!members.is_empty(), "no counters embedded: {text}");
+    assert!(members.iter().all(|(k, _)| k.starts_with("analyze.")), "{text}");
+    assert_eq!(counters.get("analyze.passes").and_then(Value::as_u64), Some(6), "{text}");
 }
 
 /// A trace smaller than the write buffer reaches the disk only when the

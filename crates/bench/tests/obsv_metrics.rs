@@ -28,7 +28,7 @@ fn sweep_metrics_snapshot_is_identical_for_1_2_8_workers() {
     for workers in [1usize, 2, 8] {
         obsv::reset();
         SweepRunner::new(workers).run(&items, record_cell);
-        let json = obsv::snapshot().filter_prefix("bsw.").to_json();
+        let json = obsv::snapshot().filter_prefix("bsw.").to_json().to_string();
         match &reference {
             None => reference = Some(json),
             Some(r) => assert_eq!(&json, r, "snapshot diverged at {workers} workers"),

@@ -2,11 +2,11 @@
 //! `--timeline` Chrome-trace-event export and the `--series-ns` windowed
 //! series block, driven through the `psim` binary.
 //!
-//! The format checks run on a minimal hand-rolled JSON parser (the
-//! workspace deliberately has no JSON dependency) against both a freshly
-//! emitted timeline and the checked-in fixture, so a writer regression
-//! and a silent format drift are both caught.
+//! The format checks run on the workspace's JSON reader (`obsv::json`)
+//! against both a freshly emitted timeline and the checked-in fixture, so
+//! a writer regression and a silent format drift are both caught.
 
+use obsv::json::{parse, Value};
 use std::process::Command;
 
 fn psim() -> Command {
@@ -19,243 +19,27 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
-// --- Minimal JSON parser: just enough to validate the trace format. ---
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            members.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(members));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            self.pos += 4;
-                            char::from_u32(code).ok_or("bad \\u escape")?
-                        }
-                        other => return Err(format!("bad escape \\{}", other as char)),
-                    });
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| {
-            b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E')
-        }) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-}
-
 /// Validates the Chrome-trace-event contract Perfetto relies on: the
 /// time unit, and per-event `ph`/`pid`/`ts` fields by phase type.
-fn check_trace_format(text: &str) -> Json {
-    let doc = Parser::parse(text).expect("timeline parses as JSON");
+fn check_trace_format(text: &str) -> Value {
+    let doc = parse(text).expect("timeline parses as JSON");
     assert_eq!(
-        doc.get("displayTimeUnit").and_then(Json::str),
+        doc.get("displayTimeUnit").and_then(Value::as_str),
         Some("ns"),
         "displayTimeUnit must be ns"
     );
     let events = doc
         .get("traceEvents")
-        .and_then(Json::arr)
+        .and_then(Value::as_array)
         .expect("traceEvents array")
         .to_vec();
     assert!(!events.is_empty(), "timeline recorded no events");
     for ev in &events {
-        let ph = ev.get("ph").and_then(Json::str).expect("every event has ph");
-        assert!(ev.get("pid").and_then(Json::num).is_some(), "every event has pid");
+        let ph = ev.get("ph").and_then(Value::as_str).expect("every event has ph");
+        assert!(ev.get("pid").and_then(Value::as_f64).is_some(), "every event has pid");
         match ph {
             "M" => {
-                let name = ev.get("name").and_then(Json::str).unwrap_or_default();
+                let name = ev.get("name").and_then(Value::as_str).unwrap_or_default();
                 assert!(
                     name == "process_name" || name == "thread_name",
                     "metadata events name tracks, got {name:?}"
@@ -263,15 +47,15 @@ fn check_trace_format(text: &str) -> Json {
                 assert!(ev.get("args").and_then(|a| a.get("name")).is_some());
             }
             "X" => {
-                assert!(ev.get("tid").and_then(Json::num).is_some());
-                assert!(ev.get("ts").and_then(Json::num).is_some_and(|t| t >= 0.0));
-                assert!(ev.get("dur").and_then(Json::num).is_some_and(|d| d >= 0.0));
-                assert!(ev.get("name").and_then(Json::str).is_some());
+                assert!(ev.get("tid").and_then(Value::as_f64).is_some());
+                assert!(ev.get("ts").and_then(Value::as_f64).is_some_and(|t| t >= 0.0));
+                assert!(ev.get("dur").and_then(Value::as_f64).is_some_and(|d| d >= 0.0));
+                assert!(ev.get("name").and_then(Value::as_str).is_some());
             }
             "i" => {
-                assert!(ev.get("tid").and_then(Json::num).is_some());
-                assert!(ev.get("ts").and_then(Json::num).is_some());
-                assert_eq!(ev.get("s").and_then(Json::str), Some("t"), "instant scope");
+                assert!(ev.get("tid").and_then(Value::as_f64).is_some());
+                assert!(ev.get("ts").and_then(Value::as_f64).is_some());
+                assert_eq!(ev.get("s").and_then(Value::as_str), Some("t"), "instant scope");
             }
             other => panic!("unexpected event phase {other:?}"),
         }
@@ -279,10 +63,12 @@ fn check_trace_format(text: &str) -> Json {
     doc
 }
 
-/// Strips lines carrying wall-clock metadata (the single-line `"meta"`
-/// member) so runs can be compared byte-for-byte.
-fn below_meta(text: &str) -> String {
-    text.lines().filter(|l| !l.trim_start().starts_with("\"meta\"")).collect::<Vec<_>>().join("\n")
+/// Parses a report and drops its wall-clock `meta` member, so runs can
+/// be compared value for value.
+fn below_meta(text: &str) -> Value {
+    let mut doc = parse(text).expect("output parses as JSON");
+    assert!(doc.remove("meta").is_some(), "report carries meta");
+    doc
 }
 
 fn serve_smoke(threads: &str, timeline: &str) -> String {
@@ -318,9 +104,11 @@ fn smoke_timeline_and_series_are_byte_identical_across_worker_counts() {
     );
 
     // The report carries the versioned series block with per-window data.
-    assert!(json1.contains("\"schema\": \"obsv_series_v1\""), "missing series schema:\n{json1}");
-    assert!(json1.contains("\"serve.win.completed.epoch\""), "missing completed series");
-    assert!(json1.contains("\"serve.win.latency_ns.epoch\""), "missing latency series");
+    let series = below_meta(&json1).get("series").cloned().expect("series block");
+    assert_eq!(series.get("schema").and_then(Value::as_str), Some("obsv_series_v1"));
+    let named = series.get("series").expect("named series");
+    assert!(named.get("serve.win.completed.epoch").is_some(), "missing completed series");
+    assert!(named.get("serve.win.latency_ns.epoch").is_some(), "missing latency series");
 }
 
 #[test]
@@ -331,18 +119,18 @@ fn fresh_timeline_satisfies_chrome_trace_format() {
 
     // The serve harness names its tracks: a "serve <model>" process row
     // with one thread lane per shard.
-    let events = doc.get("traceEvents").and_then(Json::arr).unwrap().to_vec();
+    let events = doc.get("traceEvents").and_then(Value::as_array).unwrap().to_vec();
     let track_names: Vec<&str> = events
         .iter()
-        .filter(|e| e.get("ph").and_then(Json::str) == Some("M"))
-        .filter_map(|e| e.get("args").and_then(|a| a.get("name")).and_then(Json::str))
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("M"))
+        .filter_map(|e| e.get("args").and_then(|a| a.get("name")).and_then(Value::as_str))
         .collect();
     assert!(track_names.contains(&"serve epoch"), "missing process track: {track_names:?}");
     assert!(track_names.contains(&"shard 0"), "missing shard lane: {track_names:?}");
     // Request spans and group-persist markers both made it onto the
     // timeline.
     let names: Vec<&str> =
-        events.iter().filter_map(|e| e.get("name").and_then(Json::str)).collect();
+        events.iter().filter_map(|e| e.get("name").and_then(Value::as_str)).collect();
     assert!(names.iter().any(|n| *n == "get" || *n == "put"), "no request spans: {names:?}");
     assert!(names.contains(&"group-persist"), "no group-persist instants");
 }
@@ -368,11 +156,11 @@ fn serve_obsv_flag_embeds_counter_block() {
         .expect("run psim serve --obsv");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    let doc = Parser::parse(&text).expect("serve --json parses");
+    let doc = parse(&text).expect("serve --json parses");
     let obsv = doc.get("obsv").expect("obsv block embedded");
     let counters = obsv.get("counters").expect("counters section");
     assert!(
-        counters.get("serve.completed").and_then(Json::num).is_some_and(|v| v > 0.0),
+        counters.get("serve.completed").and_then(Value::as_u64).is_some_and(|v| v > 0),
         "serve.completed counter missing from obsv block:\n{text}"
     );
 }
@@ -388,22 +176,22 @@ fn crash_fuzz_series_block_is_embedded() {
         .expect("run psim crash-fuzz");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
-    let doc = Parser::parse(&text).expect("crash-fuzz --json parses");
+    let doc = parse(&text).expect("crash-fuzz --json parses");
     let series = doc.get("series").expect("series block embedded");
-    assert_eq!(series.get("schema").and_then(Json::str), Some("obsv_series_v1"));
+    assert_eq!(series.get("schema").and_then(Value::as_str), Some("obsv_series_v1"));
     // Injections/sec is wall-clock data: window indices vary run to run,
     // but the per-model series itself must be present with the full count.
     let inj = series
         .get("series")
         .and_then(|s| s.get("pfi.win.injections.epoch"))
         .expect("pfi.win.injections.epoch series");
-    assert_eq!(inj.get("kind").and_then(Json::str), Some("counter"));
-    let total: f64 = inj
+    assert_eq!(inj.get("kind").and_then(Value::as_str), Some("counter"));
+    let total: u64 = inj
         .get("windows")
-        .and_then(Json::arr)
+        .and_then(Value::as_array)
         .expect("windows array")
         .iter()
-        .map(|w| w.arr().and_then(|p| p[1].num()).unwrap_or(0.0))
+        .map(|w| w.as_array().and_then(|p| p[1].as_u64()).unwrap_or(0))
         .sum();
-    assert_eq!(total, 120.0, "series total must equal the injection count");
+    assert_eq!(total, 120, "series total must equal the injection count");
 }

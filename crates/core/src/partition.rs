@@ -735,6 +735,10 @@ where
 {
     let n_chunks = feed.chunk_count();
     let nthreads = feed.thread_count();
+    // Each chunk is decoded once and feeds the profile pass plus one
+    // engine pass per config, on either path below.
+    obsv::counter_add("analyze.chunks", n_chunks as u64);
+    obsv::counter_add("analyze.passes", configs.len() as u64 + 1);
     if workers <= 1 || n_chunks <= 1 {
         // Shared-decode sequential pass: each chunk is decoded *once* and
         // pushed through the profile stitcher and every config's

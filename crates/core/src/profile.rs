@@ -429,12 +429,17 @@ pub fn profile(
     let _span = obsv::span("profile.analyze");
     let dag = PersistDag::build(trace, config)?;
     let report = profile_dag(trace, &dag, max_barriers);
+    record_metrics(&report);
+    Ok(report)
+}
+
+/// Records one finished profile run in the `profile.*` obsv metrics.
+pub fn record_metrics(report: &ProfileReport) {
     if obsv::enabled() {
         obsv::counter_add("profile.runs", 1);
         obsv::counter_add("profile.barriers_scored", report.barriers.len() as u64);
         obsv::observe("profile.critical_path", report.critical_path);
     }
-    Ok(report)
 }
 
 #[cfg(test)]

@@ -6,6 +6,8 @@
 //! — commutative and associative — which is what makes the merged
 //! snapshot independent of worker count and merge order.
 
+use crate::json::Value;
+
 /// Number of buckets: one for zero plus one per power of two up to 2^63.
 pub const BUCKETS: usize = 65;
 
@@ -150,24 +152,22 @@ impl Histogram {
         self.max as f64
     }
 
-    /// Renders the histogram as a JSON object. Only non-empty buckets are
-    /// emitted, as `[bucket_lo, count]` pairs in ascending bucket order.
-    pub fn to_json(&self) -> String {
-        let min = if self.count == 0 { 0 } else { self.min };
-        let pairs: Vec<String> = self
+    /// The histogram as a JSON object. Only non-empty buckets are
+    /// listed, as `[bucket_lo, count]` pairs in ascending bucket order.
+    pub fn to_json(&self) -> Value {
+        let buckets = self
             .buckets
             .iter()
             .enumerate()
             .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| format!("[{}, {c}]", bucket_lo(i)))
-            .collect();
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"min\": {min}, \"max\": {}, \"buckets\": [{}]}}",
-            self.count,
-            self.sum,
-            self.max,
-            pairs.join(", ")
-        )
+            .map(|(i, &c)| Value::Arr(vec![bucket_lo(i).into(), c.into()]))
+            .collect::<Value>();
+        Value::object()
+            .with("count", self.count)
+            .with("sum", self.sum)
+            .with("min", if self.count == 0 { 0 } else { self.min })
+            .with("max", self.max)
+            .with("buckets", buckets)
     }
 }
 
@@ -349,7 +349,7 @@ mod tests {
     #[test]
     fn empty_histogram_renders_zero_min() {
         let h = Histogram::default();
-        assert!(h.to_json().contains("\"min\": 0"));
-        assert!(h.to_json().contains("\"buckets\": []"));
+        assert!(h.to_json().to_string().contains("\"min\": 0"));
+        assert!(h.to_json().to_string().contains("\"buckets\": []"));
     }
 }

@@ -34,12 +34,14 @@
 #![warn(missing_docs)]
 
 pub mod hist;
+pub mod json;
 pub mod pool;
 pub mod runmeta;
 pub mod series;
 pub mod tracefmt;
 
 pub use hist::Histogram;
+pub use json::Value;
 pub use pool::par_map;
 pub use runmeta::RunMeta;
 
@@ -329,20 +331,6 @@ pub fn reset() {
     tracefmt::reset();
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl Snapshot {
     /// A snapshot restricted to metrics whose name starts with `prefix`
     /// (test isolation: concurrent tests use disjoint prefixes).
@@ -369,65 +357,26 @@ impl Snapshot {
         }
     }
 
-    /// The deterministic sections (counters + histograms) as pretty JSON.
-    /// Byte-identical for any sharding of the same recorded work; wall
+    /// The deterministic sections (counters + histograms) as a JSON
+    /// object. Identical for any sharding of the same recorded work; wall
     /// clock timings are excluded (see [`Snapshot::to_json_full`]).
-    pub fn to_json(&self) -> String {
-        self.render(false)
+    pub fn to_json(&self) -> Value {
+        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), v.into()));
+        let histograms = self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json()));
+        Value::object()
+            .with("counters", Value::Obj(counters.collect()))
+            .with("histograms", Value::Obj(histograms.collect()))
     }
 
     /// Full snapshot JSON: the deterministic sections plus wall-clock
     /// `timings` (counts and total nanoseconds per span path).
-    pub fn to_json_full(&self) -> String {
-        self.render(true)
-    }
-
-    fn render(&self, include_timings: bool) -> String {
-        fn section(out: &mut String, name: &str, rows: Vec<String>, last: bool) {
-            out.push_str(&format!("  \"{name}\": {{"));
-            if rows.is_empty() {
-                out.push('}');
-            } else {
-                out.push_str(&format!("\n{}\n  }}", rows.join(",\n")));
-            }
-            out.push_str(if last { "\n" } else { ",\n" });
-        }
-        let mut out = String::from("{\n");
-        section(
-            &mut out,
-            "counters",
-            self.counters.iter().map(|(k, v)| format!("    \"{}\": {v}", esc(k))).collect(),
-            false,
-        );
-        section(
-            &mut out,
-            "histograms",
-            self.histograms
-                .iter()
-                .map(|(k, h)| format!("    \"{}\": {}", esc(k), h.to_json()))
-                .collect(),
-            !include_timings,
-        );
-        if include_timings {
-            section(
-                &mut out,
-                "timings",
-                self.timings
-                    .iter()
-                    .map(|(k, t)| {
-                        format!(
-                            "    \"{}\": {{\"count\": {}, \"total_ns\": {}}}",
-                            esc(k),
-                            t.count,
-                            t.total_ns
-                        )
-                    })
-                    .collect(),
-                true,
-            );
-        }
-        out.push_str("}\n");
-        out
+    pub fn to_json_full(&self) -> Value {
+        let timing =
+            |t: &Timing| Value::object().with("count", t.count).with("total_ns", t.total_ns);
+        self.to_json().with(
+            "timings",
+            Value::Obj(self.timings.iter().map(|(k, t)| (k.clone(), timing(t))).collect()),
+        )
     }
 }
 
@@ -525,11 +474,18 @@ mod tests {
         let _g = locked();
         set_enabled(true);
         std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    counter_add("ut_thr.c", 10);
-                    observe("ut_thr.h", 64);
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        counter_add("ut_thr.c", 10);
+                        observe("ut_thr.h", 64);
+                    })
+                })
+                .collect();
+            // An explicit join waits for the thread to exit, TLS
+            // destructors included; the scope's implicit wait does not.
+            for w in workers {
+                w.join().unwrap();
             }
         });
         set_enabled(false);
@@ -546,12 +502,12 @@ mod tests {
         let mut h = Histogram::default();
         h.observe(3);
         snap.histograms.insert("x".into(), h);
-        let json = snap.to_json();
+        let json = snap.to_json().to_string();
         let a = json.find("\"a\"").unwrap();
         let b = json.find("\"b\"").unwrap();
         assert!(a < b, "counters render in sorted order");
         assert!(json.contains("\"buckets\": [[2, 1]]"));
-        let full = snap.to_json_full();
+        let full = snap.to_json_full().to_string();
         assert!(full.contains("\"timings\": {}"));
     }
 }

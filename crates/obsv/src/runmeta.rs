@@ -8,6 +8,7 @@
 //! filter (the payload below it must be byte-identical; the metadata by
 //! design is not).
 
+use crate::json::Value;
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -106,17 +107,15 @@ impl RunMeta {
         }
     }
 
-    /// Renders the metadata as one single-line JSON object (no trailing
-    /// newline), e.g. for embedding as `"meta": <object>`.
-    pub fn to_json_object(&self) -> String {
-        format!(
-            "{{\"git_rev\": \"{}\", \"timestamp_utc\": \"{}\", \"host_cores\": {}, \"workers_configured\": {}, \"workers_effective\": {}}}",
-            self.git_rev.replace('\\', "\\\\").replace('"', "\\\""),
-            self.timestamp_utc,
-            self.host_cores,
-            self.workers_configured,
-            self.workers_effective
-        )
+    /// The metadata as a JSON object of scalars, which a report renders
+    /// on one line.
+    pub fn to_json(&self) -> Value {
+        Value::object()
+            .with("git_rev", self.git_rev.as_str())
+            .with("timestamp_utc", self.timestamp_utc.as_str())
+            .with("host_cores", self.host_cores)
+            .with("workers_configured", self.workers_configured)
+            .with("workers_effective", self.workers_effective)
     }
 }
 
@@ -134,15 +133,16 @@ mod tests {
     #[test]
     fn meta_renders_one_line() {
         let m = RunMeta {
-            git_rev: "abc123".into(),
+            git_rev: "abc\"12\\3".into(),
             timestamp_utc: format_utc(0),
             host_cores: 8,
             workers_configured: 4,
             workers_effective: 2,
         };
-        let j = m.to_json_object();
+        let j = m.to_json().to_string();
         assert!(!j.contains('\n'));
         assert!(j.contains("\"workers_effective\": 2"));
+        assert_eq!(crate::json::parse(&j), Ok(m.to_json()), "git_rev escapes round-trip");
     }
 
     #[test]

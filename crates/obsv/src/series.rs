@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::esc;
 use crate::hist::Histogram;
+use crate::json::Value;
 
 /// Window width in nanoseconds; 0 = series recording off.
 static WINDOW_NS: AtomicU64 = AtomicU64::new(0);
@@ -243,59 +243,38 @@ impl SeriesSnapshot {
         }
     }
 
-    /// Renders the snapshot as a versioned `obsv_series_v1` JSON block
-    /// for embedding in a report under a key: the opening `{` carries no
-    /// indent (it sits after `"series": `) and every subsequent line is
-    /// prefixed with `pad`. Counter windows render as `[w, sum]` pairs;
-    /// histogram windows as `[w, {count, p50, p99, max}]`. Windows and
-    /// names are sorted, so output is byte-identical for any sharding of
-    /// the same recorded points.
-    pub fn to_json(&self, pad: &str) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("{pad}  \"schema\": \"obsv_series_v1\",\n"));
-        out.push_str(&format!("{pad}  \"window_ns\": {},\n", self.window_ns));
-        out.push_str(&format!("{pad}  \"series\": {{"));
-        let rows: Vec<String> = self
-            .series
-            .iter()
-            .map(|(name, data)| {
-                let (kind, windows) = match data {
-                    SeriesData::Counter(m) => (
-                        "counter",
-                        m.iter()
-                            .map(|(w, v)| format!("[{w}, {v}]"))
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                    ),
-                    SeriesData::Hist(m) => (
-                        "hist",
-                        m.iter()
-                            .map(|(w, h)| {
-                                format!(
-                                    "[{w}, {{\"count\": {}, \"p50\": {:.0}, \"p99\": {:.0}, \"max\": {}}}]",
-                                    h.count,
-                                    h.quantile(0.5),
-                                    h.quantile(0.99),
-                                    h.max
-                                )
-                            })
-                            .collect::<Vec<_>>()
-                            .join(", "),
-                    ),
-                };
-                format!(
-                    "{pad}    \"{}\": {{\"kind\": \"{kind}\", \"windows\": [{windows}]}}",
-                    esc(name)
-                )
-            })
-            .collect();
-        if rows.is_empty() {
-            out.push_str("}\n");
-        } else {
-            out.push_str(&format!("\n{}\n{pad}  }}\n", rows.join(",\n")));
-        }
-        out.push_str(&format!("{pad}}}"));
-        out
+    /// The snapshot as a versioned `obsv_series_v1` JSON block. Counter
+    /// windows are `[w, sum]` pairs; histogram windows are
+    /// `[w, {count, p50, p99, max}]`. Windows and names are sorted, so
+    /// the block is identical for any sharding of the same recorded
+    /// points.
+    pub fn to_json(&self) -> Value {
+        let series = self.series.iter().map(|(name, data)| {
+            let (kind, windows): (&str, Value) = match data {
+                SeriesData::Counter(m) => (
+                    "counter",
+                    m.iter().map(|(&w, &v)| Value::Arr(vec![w.into(), v.into()])).collect(),
+                ),
+                SeriesData::Hist(m) => (
+                    "hist",
+                    m.iter()
+                        .map(|(&w, h)| {
+                            let point = Value::object()
+                                .with("count", h.count)
+                                .with("p50", Value::fixed(h.quantile(0.5), 0))
+                                .with("p99", Value::fixed(h.quantile(0.99), 0))
+                                .with("max", h.max);
+                            Value::Arr(vec![w.into(), point])
+                        })
+                        .collect(),
+                ),
+            };
+            (name.clone(), Value::object().with("kind", kind).with("windows", windows))
+        });
+        Value::object()
+            .with("schema", "obsv_series_v1")
+            .with("window_ns", self.window_ns)
+            .with("series", Value::Obj(series.collect()))
     }
 }
 
@@ -375,8 +354,8 @@ mod tests {
         set_enabled(false);
         set_window_ns(0);
         reset();
-        let a = snap.filter_prefix("uts_shard.a").to_json("");
-        let b = snap.filter_prefix("uts_shard.b").to_json("");
+        let a = snap.filter_prefix("uts_shard.a").to_json().to_string();
+        let b = snap.filter_prefix("uts_shard.b").to_json().to_string();
         assert_eq!(a.replace("uts_shard.a", "X"), b.replace("uts_shard.b", "X"));
     }
 
@@ -399,8 +378,8 @@ mod tests {
         set_window_ns(0);
         reset();
         assert_eq!(
-            s.filter_prefix("uts_bulk.p").to_json("").replace("uts_bulk.p", "K"),
-            s.filter_prefix("uts_bulk.q").to_json("").replace("uts_bulk.q", "K"),
+            s.filter_prefix("uts_bulk.p").to_json().to_string().replace("uts_bulk.p", "K"),
+            s.filter_prefix("uts_bulk.q").to_json().to_string().replace("uts_bulk.q", "K"),
         );
     }
 
@@ -416,11 +395,10 @@ mod tests {
         let mut hm = BTreeMap::new();
         hm.insert(1u64, h);
         snap.series.insert("s.h".into(), SeriesData::Hist(hm));
-        let json = snap.to_json("  ");
+        let json = snap.to_json().to_string();
         assert!(json.contains("\"schema\": \"obsv_series_v1\""));
         assert!(json.contains("\"window_ns\": 100"));
         assert!(json.contains("\"windows\": [[0, 3], [2, 5]]"));
         assert!(json.contains("[1, {\"count\": 1, \"p50\": 64, \"p99\": 64, \"max\": 64}]"));
-        assert!(json.ends_with("  }"));
     }
 }

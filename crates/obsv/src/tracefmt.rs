@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::esc;
+use crate::json::{self, Value};
 
 /// Explicit arm for timeline buffering (on top of the crate gate).
 static ARMED: AtomicBool = AtomicBool::new(false);
@@ -108,18 +108,19 @@ thread_local! {
 }
 
 /// Renders argument pairs into the pre-joined form stored on the event.
-/// Values are **raw JSON fragments** (callers format numbers themselves;
-/// use [`jstr`] for string values).
+/// Values are **raw JSON fragments**: callers format numbers themselves
+/// and quote strings as `Value::from(s).to_string()`.
 fn render_args(args: &[(&str, String)]) -> String {
-    args.iter()
-        .map(|(k, v)| format!("\"{}\": {v}", esc(k)))
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// Quotes and escapes `s` as a JSON string argument value.
-pub fn jstr(s: &str) -> String {
-    format!("\"{}\"", esc(s))
+    let mut out = String::new();
+    for (i, (k, v)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        json::quote(k, &mut out);
+        out.push_str(": ");
+        out.push_str(v);
+    }
+    out
 }
 
 fn push(ev: Ev) {
@@ -205,11 +206,15 @@ pub fn event_count() -> usize {
 /// }
 /// ```
 ///
-/// `meta` must be a single-line JSON value (the repo's `RunMeta` object)
-/// so the standard `grep -v '^  "meta"'` determinism filter applies.
-/// Events are sorted on `(pid, tid, ts, ph, name, dur, args)` before
-/// emission — byte-deterministic when the timestamps are.
-pub fn render(meta: &str) -> String {
+/// `meta` is the run's provenance object (the repo's `RunMeta`), which
+/// renders on the one line the `grep -v '^  "meta"'` determinism filter
+/// drops. Events are sorted on `(pid, tid, ts, ph, name, dur, args)`
+/// before emission — byte-deterministic when the timestamps are.
+///
+/// # Panics
+///
+/// If a recorded argument value is not a JSON fragment.
+pub fn render(meta: Value) -> String {
     flush();
     let mut events = GLOBAL_EVENTS.lock().unwrap().clone();
     events.sort_by(|a, b| {
@@ -223,50 +228,37 @@ pub fn render(meta: &str) -> String {
     });
     let tracks = TRACKS.lock().unwrap().clone();
 
-    let mut rows: Vec<String> = Vec::with_capacity(tracks.len() + events.len());
-    for ((pid, tid), label) in &tracks {
-        let (kind, tid_field) = match tid {
-            None => ("process_name", String::new()),
-            Some(t) => ("thread_name", format!("\"tid\": {t}, ")),
-        };
-        rows.push(format!(
-            "    {{\"ph\": \"M\", \"pid\": {pid}, {tid_field}\"name\": \"{kind}\", \
-             \"args\": {{\"name\": \"{}\"}}}}",
-            esc(label)
-        ));
-    }
-    for e in &events {
-        let mut row = format!(
-            "    {{\"ph\": \"{}\", \"pid\": {}, \"tid\": {}, \"ts\": {:.3}, ",
-            e.ph,
-            e.pid,
-            e.tid,
-            e.ts_ns / 1000.0
-        );
+    let track_rows = tracks.iter().map(|((pid, tid), label)| {
+        let mut row = Value::object().with("ph", "M").with("pid", *pid);
+        if let Some(t) = tid {
+            row.insert("tid", *t);
+        }
+        let kind = if tid.is_some() { "thread_name" } else { "process_name" };
+        row.with("name", kind).with("args", Value::object().with("name", label.as_str()))
+    });
+    let event_rows = events.iter().map(|e| {
+        let mut row = Value::object()
+            .with("ph", e.ph.to_string())
+            .with("pid", e.pid)
+            .with("tid", e.tid)
+            .with("ts", Value::fixed(e.ts_ns / 1000.0, 3));
         if e.ph == 'X' {
-            row.push_str(&format!("\"dur\": {:.3}, ", e.dur_ns / 1000.0));
+            row.insert("dur", Value::fixed(e.dur_ns / 1000.0, 3));
         } else {
-            row.push_str("\"s\": \"t\", ");
+            row.insert("s", "t");
         }
-        row.push_str(&format!("\"name\": \"{}\"", esc(&e.name)));
+        row.insert("name", e.name.as_str());
         if !e.args.is_empty() {
-            row.push_str(&format!(", \"args\": {{{}}}", e.args));
+            let args = json::parse(&format!("{{{}}}", e.args))
+                .expect("timeline arguments are JSON fragments");
+            row.insert("args", args);
         }
-        row.push('}');
-        rows.push(row);
-    }
-
-    let mut out = String::from("{\n");
-    out.push_str("  \"displayTimeUnit\": \"ns\",\n");
-    out.push_str(&format!("  \"meta\": {meta},\n"));
-    out.push_str("  \"traceEvents\": [");
-    if rows.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str(&format!("\n{}\n  ]\n", rows.join(",\n")));
-    }
-    out.push_str("}\n");
-    out
+        row
+    });
+    Value::object()
+        .with("displayTimeUnit", "ns")
+        .with("meta", meta)
+        .render_with_rows("traceEvents", track_rows.chain(event_rows))
 }
 
 #[cfg(test)]
@@ -307,9 +299,9 @@ mod tests {
         name_process(1, "serve epoch");
         name_thread(1, 2, "shard 1");
         instant(1, 2, "bank-stall", 3000.0, &[("wait_ns", "120".into())]);
-        span(1, 2, "put", 1000.0, 500.0, &[("key", jstr("k\"1"))]);
+        span(1, 2, "put", 1000.0, 500.0, &[("key", Value::from("k\"1").to_string())]);
         span(1, 1, "get", 9000.0, 250.0, &[]);
-        let json = render("{\"x\": 1}");
+        let json = render(Value::object().with("x", 1u64));
         disarm();
         assert!(json.starts_with("{\n  \"displayTimeUnit\": \"ns\",\n  \"meta\": {\"x\": 1},\n"));
         // Sorted: metadata first, then (pid=1,tid=1) before (1,2), then ts.
@@ -332,7 +324,7 @@ mod tests {
         };
         let (_g, ()) = armed();
         emit();
-        let single = render("{}");
+        let single = render(Value::object());
         reset();
         // Replay the same 8 events sharded across 4 threads: the sorted
         // render must be byte-identical.
@@ -346,7 +338,7 @@ mod tests {
                 });
             }
         });
-        let sharded = render("{}");
+        let sharded = render(Value::object());
         disarm();
         assert_eq!(single, sharded);
     }
@@ -354,7 +346,7 @@ mod tests {
     #[test]
     fn empty_trace_is_valid_shape() {
         let (_g, ()) = armed();
-        let json = render("{}");
+        let json = render(Value::object());
         disarm();
         assert_eq!(json, "{\n  \"displayTimeUnit\": \"ns\",\n  \"meta\": {},\n  \"traceEvents\": []\n}\n");
     }

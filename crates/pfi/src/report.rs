@@ -1,87 +1,59 @@
 //! JSON rendering of crash-fuzz results (schema `pfi_crash_fuzz_v1`).
 //!
-//! Hand-rolled like the rest of the workspace's reporting (no serde in
-//! the dependency closure). The report is self-contained: configuration,
-//! overall verdict, and one object per cell with its shrunk first
-//! failure, so CI can archive a single artifact.
+//! The report is self-contained: configuration, overall verdict, and one
+//! object per cell with its shrunk first failure, so CI can archive a
+//! single artifact.
 
 use crate::fuzz::{CellReport, FuzzConfig};
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use obsv::Value;
 
 /// `true` if every cell passed.
 pub fn all_passed(cells: &[CellReport]) -> bool {
     cells.iter().all(CellReport::passed)
 }
 
-/// Renders a full crash-fuzz report as pretty-printed JSON.
+/// Renders a full crash-fuzz report.
 pub fn render(cfg: &FuzzConfig, cells: &[CellReport]) -> String {
-    render_with_meta(cfg, cells, None)
+    to_json(cfg, cells, None).render()
 }
 
-/// Like [`render`], but embeds a pre-rendered single-line JSON `meta`
-/// object (run provenance; see `obsv::runmeta`). The meta line is the
-/// only part of the report that may vary between identically-configured
-/// runs, so determinism checks drop it with a line filter.
-pub fn render_with_meta(cfg: &FuzzConfig, cells: &[CellReport], meta: Option<&str>) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"pfi_crash_fuzz_v1\",\n");
+/// The crash-fuzz report as a JSON object, with the run's provenance
+/// object as `meta` when given. The meta line is the only part of the
+/// report that may vary between identically-configured runs.
+pub fn to_json(cfg: &FuzzConfig, cells: &[CellReport], meta: Option<Value>) -> Value {
+    let mut out = Value::object().with("schema", "pfi_crash_fuzz_v1");
     if let Some(m) = meta {
-        debug_assert!(!m.contains('\n'), "meta must render as one line");
-        out.push_str(&format!("  \"meta\": {m},\n"));
+        out.insert("meta", m);
     }
-    out.push_str(&format!(
-        "  \"config\": {{\"ops\": {}, \"injections\": {}, \"seed\": {}, \"multi_crash\": {}, \"torn\": {}}},\n",
-        cfg.ops, cfg.injections, cfg.seed, cfg.multi_crash, cfg.torn
-    ));
-    out.push_str(&format!("  \"pass\": {},\n", all_passed(cells)));
-    out.push_str("  \"cells\": [\n");
-    for (i, c) in cells.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"structure\": \"{}\", \"model\": \"{}\", \"events\": {}, \"injections\": {}, \"recovery_crashes\": {}, \"failures\": {}, \"first_failure\": ",
-            esc(c.structure), esc(c.model), c.events, c.injections, c.recovery_crashes, c.failures
-        ));
-        match &c.first_failure {
-            None => out.push_str("null"),
-            Some(f) => {
-                let lines = f
-                    .dropped_lines
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                let second = f
-                    .second_crash_point
-                    .map_or("null".to_string(), |p| p.to_string());
-                out.push_str(&format!(
-                    "{{\"injection\": {}, \"crash_point\": {}, \"second_crash_point\": {}, \"during_recovery\": {}, \"dropped_lines\": [{}], \"message\": \"{}\"}}",
-                    f.injection, f.crash_point, second, f.during_recovery, lines, esc(&f.message)
-                ));
-            }
-        }
-        out.push('}');
-        if i + 1 < cells.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let config = Value::object()
+        .with("ops", cfg.ops)
+        .with("injections", cfg.injections)
+        .with("seed", cfg.seed)
+        .with("multi_crash", cfg.multi_crash)
+        .with("torn", cfg.torn);
+    let rows = cells.iter().map(|c| {
+        let failure = c.first_failure.as_ref().map(|f| {
+            let dropped_lines = f.dropped_lines.iter().map(|&l| Value::from(l));
+            Value::object()
+                .with("injection", f.injection)
+                .with("crash_point", f.crash_point)
+                .with("second_crash_point", f.second_crash_point)
+                .with("during_recovery", f.during_recovery)
+                .with("dropped_lines", dropped_lines.collect::<Value>())
+                .with("message", f.message.as_str())
+        });
+        Value::object()
+            .with("structure", c.structure)
+            .with("model", c.model)
+            .with("events", c.events)
+            .with("injections", c.injections)
+            .with("recovery_crashes", c.recovery_crashes)
+            .with("failures", c.failures)
+            .with("first_failure", failure)
+    });
+    out.with("config", config)
+        .with("pass", all_passed(cells))
+        .with("cells", rows.collect::<Value>())
 }
 
 #[cfg(test)]

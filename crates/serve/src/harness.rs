@@ -25,7 +25,7 @@ use crate::gen::{shard_of, Op, OpKind, OpStream, Zipfian};
 use crate::shard::{Shard, StoreKind};
 use nvram::DeviceConfig;
 use obsv::hist::Histogram;
-use obsv::{series, tracefmt};
+use obsv::{series, tracefmt, Value};
 use persistency::Model;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -108,15 +108,21 @@ impl ServeConfig {
     ///
     /// # Errors
     ///
-    /// Describes the first invalid field: zero shards or keys, a Zipfian
-    /// skew outside `[0, 1)`, a get ratio outside `[0, 1]`, or a
-    /// nonpositive arrival rate.
+    /// Describes the first invalid field: zero shards, keys, queue depth,
+    /// batch size or banks, a Zipfian skew outside `[0, 1)`, a get ratio
+    /// outside `[0, 1]`, or an arrival rate that is not a positive finite
+    /// number.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shards == 0 {
-            return Err("--shards must be at least 1".into());
-        }
-        if self.keys == 0 {
-            return Err("--keys must be at least 1".into());
+        for (flag, n) in [
+            ("--shards", self.shards as u64),
+            ("--keys", self.keys),
+            ("--qdepth", self.qdepth as u64),
+            ("--batch", self.batch as u64),
+            ("--banks", self.banks as u64),
+        ] {
+            if n == 0 {
+                return Err(format!("{flag} must be at least 1"));
+            }
         }
         if !(0.0..1.0).contains(&self.theta) {
             return Err(format!("--theta must be in [0, 1), got {}", self.theta));
@@ -124,8 +130,9 @@ impl ServeConfig {
         if !(0.0..=1.0).contains(&self.get_ratio) {
             return Err(format!("--get-ratio must be in [0, 1], got {}", self.get_ratio));
         }
-        if self.rate_ops_per_sec <= 0.0 {
-            return Err("--rate must be positive".into());
+        if !(self.rate_ops_per_sec > 0.0 && self.rate_ops_per_sec.is_finite()) {
+            let rate = self.rate_ops_per_sec;
+            return Err(format!("--rate must be positive and finite, got {rate}"));
         }
         Ok(())
     }
@@ -899,92 +906,95 @@ pub fn run_models(
     models.iter().map(|&m| run_model(cfg, m, mode, workers)).collect()
 }
 
-/// Renders one latency histogram as a JSON object with interpolated
-/// percentiles.
-fn hist_json(h: &Histogram) -> String {
-    format!(
-        "{{\"p50\": {:.0}, \"p99\": {:.0}, \"p999\": {:.0}, \"mean\": {:.1}, \"max\": {}}}",
-        h.quantile(0.50),
-        h.quantile(0.99),
-        h.quantile(0.999),
-        h.mean(),
-        h.max
-    )
+/// One latency histogram as a JSON object with interpolated percentiles.
+fn hist_json(h: &Histogram) -> Value {
+    Value::object()
+        .with("p50", Value::fixed(h.quantile(0.50), 0))
+        .with("p99", Value::fixed(h.quantile(0.99), 0))
+        .with("p999", Value::fixed(h.quantile(0.999), 0))
+        .with("mean", Value::fixed(h.mean(), 1))
+        .with("max", h.max)
 }
 
-/// Renders the full `psim_serve_v1` report. `meta` is the caller's
-/// single-line `RunMeta` object (kept on its own line so determinism
-/// checks can filter it).
-pub fn render_json(cfg: &ServeConfig, mode: Mode, reports: &[ModelReport], meta: &str) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"psim_serve_v1\",\n");
-    out.push_str(&format!("  \"meta\": {meta},\n"));
-    out.push_str(&format!(
-        "  \"config\": {{\"structure\": \"{}\", \"mode\": \"{}\", \"shards\": {}, \"keys\": {}, \"ops\": {}, \"rate_ops_per_sec\": {:.0}, \"zipf_theta\": {:.2}, \"get_ratio\": {:.2}, \"qdepth\": {}, \"batch\": {}, \"batch_wait_ns\": {:.0}, \"cpu_ns\": {:.0}, \"banks\": {}, \"write_latency_ns\": {:.0}, \"interleave_bytes\": {}, \"seed\": {}}},\n",
-        cfg.kind.name(),
-        mode.name(),
-        cfg.shards,
-        cfg.keys,
-        cfg.ops,
-        cfg.rate_ops_per_sec,
-        cfg.theta,
-        cfg.get_ratio,
-        cfg.qdepth,
-        cfg.batch,
-        cfg.batch_wait_ns,
-        cfg.cpu_ns,
-        cfg.banks,
-        cfg.write_latency_ns,
-        cfg.interleave_bytes,
-        cfg.seed
-    ));
-    out.push_str("  \"models\": [\n");
-    let rows: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            let d = &r.device;
-            let hotspot = if d.wear_blocks > 0 && d.device_writes > 0 {
-                d.wear_max_block as f64 * d.wear_blocks as f64 / d.device_writes as f64
-            } else {
-                0.0
-            };
-            let wall = r
-                .wall_seconds
-                .map(|w| format!(", \"wall_seconds\": {w:.3}"))
-                .unwrap_or_default();
-            format!(
-                "    {{\"model\": \"{}\", \"offered\": {}, \"completed\": {}, \"shed\": {}, \"puts\": {}, \"gets\": {}, \"hits\": {}, \"throughput_ops_per_sec\": {:.0}, \"makespan_ms\": {:.3}{wall},\n     \"latency_ns\": {},\n     \"persist_stall_ns\": {},\n     \"queue_wait_ns\": {},\n     \"batch\": {{\"dispatched\": {}, \"full\": {}, \"mean_fill\": {:.2}}},\n     \"device\": {{\"stores\": {}, \"device_writes\": {}, \"absorbed\": {}, \"bank_conflicts\": {}, \"bank_wait_ms\": {:.3}, \"wear_blocks\": {}, \"wear_max_block\": {}, \"wear_hotspot\": {:.2}}},\n     \"hottest_shard\": {{\"shard\": {}, \"offered\": {}}}}}",
-                r.model,
-                r.offered,
-                r.completed,
-                r.shed,
-                r.puts,
-                r.gets,
-                r.hits,
-                r.throughput(),
-                r.makespan_ns / 1e6,
-                hist_json(&r.latency),
-                hist_json(&r.stall),
-                hist_json(&r.queue_wait),
-                r.batches,
-                r.batches_full,
-                r.mean_batch_fill(),
-                d.stores,
-                d.device_writes,
-                d.absorbed(),
-                d.bank_conflicts,
-                d.bank_wait_ns / 1e6,
-                d.wear_blocks,
-                d.wear_max_block,
-                hotspot,
-                r.hottest_shard.0,
-                r.hottest_shard.1
+/// The full `psim_serve_v1` report, with the run's provenance object as
+/// `meta`.
+pub fn report_json(cfg: &ServeConfig, mode: Mode, reports: &[ModelReport], meta: Value) -> Value {
+    let config = Value::object()
+        .with("structure", cfg.kind.name())
+        .with("mode", mode.name())
+        .with("shards", cfg.shards)
+        .with("keys", cfg.keys)
+        .with("ops", cfg.ops)
+        .with("rate_ops_per_sec", Value::fixed(cfg.rate_ops_per_sec, 0))
+        .with("zipf_theta", Value::fixed(cfg.theta, 2))
+        .with("get_ratio", Value::fixed(cfg.get_ratio, 2))
+        .with("qdepth", cfg.qdepth)
+        .with("batch", cfg.batch)
+        .with("batch_wait_ns", Value::fixed(cfg.batch_wait_ns, 0))
+        .with("cpu_ns", Value::fixed(cfg.cpu_ns, 0))
+        .with("banks", cfg.banks)
+        .with("write_latency_ns", Value::fixed(cfg.write_latency_ns, 0))
+        .with("interleave_bytes", cfg.interleave_bytes)
+        .with("seed", cfg.seed);
+    let models = reports.iter().map(|r| {
+        let d = &r.device;
+        let hotspot = if d.wear_blocks > 0 && d.device_writes > 0 {
+            d.wear_max_block as f64 * d.wear_blocks as f64 / d.device_writes as f64
+        } else {
+            0.0
+        };
+        let mut row = Value::object()
+            .with("model", r.model.name())
+            .with("offered", r.offered)
+            .with("completed", r.completed)
+            .with("shed", r.shed)
+            .with("puts", r.puts)
+            .with("gets", r.gets)
+            .with("hits", r.hits)
+            .with("throughput_ops_per_sec", Value::fixed(r.throughput(), 0))
+            .with("makespan_ms", Value::fixed(r.makespan_ns / 1e6, 3));
+        if let Some(w) = r.wall_seconds {
+            row.insert("wall_seconds", Value::fixed(w, 3));
+        }
+        let batch = Value::object()
+            .with("dispatched", r.batches)
+            .with("full", r.batches_full)
+            .with("mean_fill", Value::fixed(r.mean_batch_fill(), 2));
+        let device = Value::object()
+            .with("stores", d.stores)
+            .with("device_writes", d.device_writes)
+            .with("absorbed", d.absorbed())
+            .with("bank_conflicts", d.bank_conflicts)
+            .with("bank_wait_ms", Value::fixed(d.bank_wait_ns / 1e6, 3))
+            .with("wear_blocks", d.wear_blocks)
+            .with("wear_max_block", d.wear_max_block)
+            .with("wear_hotspot", Value::fixed(hotspot, 2));
+        row.with("latency_ns", hist_json(&r.latency))
+            .with("persist_stall_ns", hist_json(&r.stall))
+            .with("queue_wait_ns", hist_json(&r.queue_wait))
+            .with("batch", batch)
+            .with("device", device)
+            .with(
+                "hottest_shard",
+                Value::object().with("shard", r.hottest_shard.0).with("offered", r.hottest_shard.1),
             )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    });
+    Value::object()
+        .with("schema", "psim_serve_v1")
+        .with("meta", meta)
+        .with("config", config)
+        .with("models", models.collect::<Value>())
+}
+
+/// Renders [`report_json`]. `meta` is the text of a JSON value, such as
+/// a rendered `RunMeta` object.
+///
+/// # Panics
+///
+/// If `meta` is not valid JSON.
+pub fn render_json(cfg: &ServeConfig, mode: Mode, reports: &[ModelReport], meta: &str) -> String {
+    let meta = obsv::json::parse(meta).expect("meta is a JSON value");
+    report_json(cfg, mode, reports, meta).render()
 }
 
 /// Renders the human-readable table.

@@ -15,7 +15,7 @@
 //! (buffered knees ≥ strict knee) without tolerance fudge.
 
 use crate::harness::{model_track, run_model, Mode, ModelReport, ServeConfig};
-use obsv::tracefmt;
+use obsv::{tracefmt, Value};
 use persistency::Model;
 
 /// Knee-sweep acceptance criteria and search parameters.
@@ -210,67 +210,59 @@ pub fn find_knees(
     models.iter().map(|&m| find_knee(cfg, m, knee)).collect()
 }
 
-/// Renders the `psim_serve_knee_v1` report. `meta` is the caller's
-/// single-line `RunMeta` object (kept on its own line so determinism
-/// checks can filter it).
-pub fn render_knee_json(
+/// The `psim_serve_knee_v1` report, with the run's provenance object as
+/// `meta`.
+pub fn knee_json(
     cfg: &ServeConfig,
     knee: &KneeConfig,
     results: &[KneeResult],
-    meta: &str,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"psim_serve_knee_v1\",\n");
-    out.push_str(&format!("  \"meta\": {meta},\n"));
-    out.push_str(&format!(
-        "  \"config\": {{\"structure\": \"{}\", \"shards\": {}, \"keys\": {}, \"ops\": {}, \"zipf_theta\": {:.2}, \"get_ratio\": {:.2}, \"qdepth\": {}, \"batch\": {}, \"batch_wait_ns\": {:.0}, \"cpu_ns\": {:.0}, \"banks\": {}, \"write_latency_ns\": {:.0}, \"seed\": {}, \"shed_frac_max\": {}, \"p99_limit_ns\": {:.0}, \"rate_floor\": {:.0}, \"probes\": {}}},\n",
-        cfg.kind.name(),
-        cfg.shards,
-        cfg.keys,
-        cfg.ops,
-        cfg.theta,
-        cfg.get_ratio,
-        cfg.qdepth,
-        cfg.batch,
-        cfg.batch_wait_ns,
-        cfg.cpu_ns,
-        cfg.banks,
-        cfg.write_latency_ns,
-        cfg.seed,
-        knee.shed_frac,
-        knee.p99_limit_ns,
-        knee.rate_floor,
-        knee.probes
-    ));
-    out.push_str("  \"models\": [\n");
-    let rows: Vec<String> = results
-        .iter()
-        .map(|k| {
-            let r = &k.report;
-            format!(
-                "    {{\"model\": \"{}\", \"knee_rate_ops_per_sec\": {:.0}, \"limited_by\": \"{}\", \"runs\": {},\n     \"at_knee\": {{\"offered\": {}, \"completed\": {}, \"shed\": {}, \"shed_frac\": {:.4}, \"p50_ns\": {:.0}, \"p99_ns\": {:.0}, \"p999_ns\": {:.0}, \"throughput_ops_per_sec\": {:.0}, \"batches\": {}, \"batches_full\": {}, \"mean_batch_fill\": {:.2}, \"absorbed\": {}}}}}",
-                k.model,
-                k.knee_rate,
-                k.limited_by.name(),
-                k.runs,
-                r.offered,
-                r.completed,
-                r.shed,
-                r.shed_frac(),
-                r.latency.quantile(0.50),
-                r.latency.quantile(0.99),
-                r.latency.quantile(0.999),
-                r.throughput(),
-                r.batches,
-                r.batches_full,
-                r.mean_batch_fill(),
-                r.device.absorbed()
-            )
-        })
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str("\n  ]\n}\n");
-    out
+    meta: Value,
+) -> Value {
+    let config = Value::object()
+        .with("structure", cfg.kind.name())
+        .with("shards", cfg.shards)
+        .with("keys", cfg.keys)
+        .with("ops", cfg.ops)
+        .with("zipf_theta", Value::fixed(cfg.theta, 2))
+        .with("get_ratio", Value::fixed(cfg.get_ratio, 2))
+        .with("qdepth", cfg.qdepth)
+        .with("batch", cfg.batch)
+        .with("batch_wait_ns", Value::fixed(cfg.batch_wait_ns, 0))
+        .with("cpu_ns", Value::fixed(cfg.cpu_ns, 0))
+        .with("banks", cfg.banks)
+        .with("write_latency_ns", Value::fixed(cfg.write_latency_ns, 0))
+        .with("seed", cfg.seed)
+        .with("shed_frac_max", Value::fixed(knee.shed_frac, 2))
+        .with("p99_limit_ns", Value::fixed(knee.p99_limit_ns, 0))
+        .with("rate_floor", Value::fixed(knee.rate_floor, 0))
+        .with("probes", knee.probes);
+    let models = results.iter().map(|k| {
+        let r = &k.report;
+        let at_knee = Value::object()
+            .with("offered", r.offered)
+            .with("completed", r.completed)
+            .with("shed", r.shed)
+            .with("shed_frac", Value::fixed(r.shed_frac(), 4))
+            .with("p50_ns", Value::fixed(r.latency.quantile(0.50), 0))
+            .with("p99_ns", Value::fixed(r.latency.quantile(0.99), 0))
+            .with("p999_ns", Value::fixed(r.latency.quantile(0.999), 0))
+            .with("throughput_ops_per_sec", Value::fixed(r.throughput(), 0))
+            .with("batches", r.batches)
+            .with("batches_full", r.batches_full)
+            .with("mean_batch_fill", Value::fixed(r.mean_batch_fill(), 2))
+            .with("absorbed", r.device.absorbed());
+        Value::object()
+            .with("model", k.model.name())
+            .with("knee_rate_ops_per_sec", Value::fixed(k.knee_rate, 0))
+            .with("limited_by", k.limited_by.name())
+            .with("runs", k.runs)
+            .with("at_knee", at_knee)
+    });
+    Value::object()
+        .with("schema", "psim_serve_knee_v1")
+        .with("meta", meta)
+        .with("config", config)
+        .with("models", models.collect::<Value>())
 }
 
 /// Renders the human-readable knee table.
