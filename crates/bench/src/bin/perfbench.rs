@@ -454,7 +454,7 @@ fn main() {
     let knee = Value::object()
         .with("batch", knee_base.batch)
         .with("probes", knee_search.probes)
-        .with("shed_frac_max", Value::fixed(knee_search.shed_frac, 2))
+        .with("shed_frac_max", knee_search.shed_frac)
         .with("rate_ops_per_sec", series(knee_rows.iter().map(|&(name, rate)| (name, eps(rate)))));
     let batched = Value::object()
         .with("batch", batched_cfg.batch)

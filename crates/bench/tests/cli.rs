@@ -257,11 +257,64 @@ fn serve_rejects_infinite_knee_p99() {
     assert_serve_rejects_nonfinite(&["--knee", "--knee-p99", "inf"], "--knee-p99");
 }
 
+/// Runs `psim serve --smoke` with `flag value` and expects a nonzero exit
+/// whose message names the flag and `want`, with no panic and no report.
+fn assert_serve_rejects(flag: &str, value: &str, want: &str) {
+    let out = psim()
+        .args(["serve", "--smoke", "--structure", "kv", "--ops", "2000", "--json", flag, value])
+        .output()
+        .expect("run");
+    assert!(!out.status.success(), "{flag} {value} must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&format!("{flag} {want}")), "{flag} {value}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{flag} {value} panicked: {stderr}");
+    assert!(out.stdout.is_empty(), "{flag} {value} must not print a report");
+}
+
+#[test]
+fn serve_rejects_nonpositive_latency() {
+    assert_serve_rejects("--latency", "0", "must be positive and finite");
+    assert_serve_rejects("--latency", "-5", "must be positive and finite");
+}
+
+#[test]
+fn serve_rejects_interleave_not_power_of_two() {
+    assert_serve_rejects("--interleave", "3", "must be a power of two");
+    assert_serve_rejects("--interleave", "0", "must be a power of two");
+}
+
+#[test]
+fn serve_rejects_negative_cpu_and_batch_wait() {
+    assert_serve_rejects("--cpu-ns", "-1", "must be non-negative and finite");
+    assert_serve_rejects("--batch-wait-ns", "-1", "must be non-negative and finite");
+}
+
 /// Runs psim with `args`, which must succeed, and returns its stdout.
 fn stdout_of(args: &[&str]) -> String {
     let out = psim().args(args).output().expect("run psim");
     assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
     String::from_utf8(out.stdout).expect("UTF-8 report")
+}
+
+/// The knee report echoes its search bounds as given: the shortest text
+/// that parses back to each value, for explicit flags and defaults alike.
+#[test]
+fn knee_echoes_config_in_shortest_form() {
+    let serve = ["serve", "--smoke", "--ops", "3000", "--shards", "2", "--keys", "500", "--json"];
+    let echo = |extra: &[&str]| -> Vec<String> {
+        let text = stdout_of(&[&serve[..], &["--knee", "--knee-probes", "2"], extra].concat());
+        let doc = parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        let config = doc.get("config").expect("config object");
+        ["shed_frac_max", "p99_limit_ns", "rate_floor"]
+            .iter()
+            .map(|k| config.get(k).unwrap_or_else(|| panic!("no {k}")).to_string())
+            .collect()
+    };
+    assert_eq!(echo(&[]), ["0.01", "0", "50000"]);
+    assert_eq!(
+        echo(&["--knee-shed", "0.001", "--knee-p99", "2500.5", "--knee-floor", "60000"]),
+        ["0.001", "2500.5", "60000"]
+    );
 }
 
 /// Every `--json` producer, on small inputs: the output parses with the

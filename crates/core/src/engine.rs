@@ -5,10 +5,13 @@
 //!
 //! - **Thread state**: `prev` holds constraints that order all *future*
 //!   persists of the thread; `cur` accumulates constraints observed since
-//!   the last persist barrier. Strict persistency folds `cur` into `prev`
-//!   after every access (every access is "barrier-separated"); epoch-style
-//!   models fold at `PersistBarrier`; strand persistency additionally
-//!   clears both at `NewStrand`.
+//!   the last persist barrier. These steps read the model's serial-stream
+//!   predicates ([`Model::totally_ordered`], [`Model::persists_at_store`],
+//!   [`Model::strand_scoped`]), the same ones pfi and serve use: strict
+//!   persistency folds `cur` into `prev` after every access (every access
+//!   is "barrier-separated"); the strict models fold at `MemBarrier`, the
+//!   others at `PersistBarrier`; strand persistency additionally clears
+//!   both at `NewStrand`.
 //! - **Memory state**: each tracking-granularity block records the
 //!   constraint carried by its last writer and by readers since that write.
 //!   Conflicting accesses inherit these per the model's conflict-detection
@@ -181,6 +184,10 @@ pub(crate) fn push_events<D: Domain>(
     let model = config.model;
     let tracking = config.tracking;
     let atomic = config.atomic_persist;
+    // The thread-state rules (see the module docs), hoisted out of the loop.
+    let fold_each_access = model.totally_ordered();
+    let coupled = model.persists_at_store();
+    let strand_scoped = model.strand_scoped();
 
     let Scratch { threads, blocks, last_persist, input, out } = scratch;
     let stats = &mut state.stats;
@@ -303,23 +310,14 @@ pub(crate) fn push_events<D: Domain>(
                 }
 
                 // 4. Update thread state.
-                match model {
-                    Model::Strict => {
-                        // Every access is ordered with its successors.
-                        let prev = &mut threads[t].prev;
-                        dom.join(prev, out);
-                    }
-                    Model::StrictRmo | Model::Epoch | Model::Bpfs | Model::Strand => {
-                        let cur = &mut threads[t].cur;
-                        dom.join(cur, out);
-                    }
-                }
+                let st = &mut threads[t];
+                dom.join(if fold_each_access { &mut st.prev } else { &mut st.cur }, out);
             }
             Op::PersistBarrier => {
                 stats.barriers += 1;
-                // Under strict persistency on relaxed consistency there are
-                // no persist barriers: persistency is the consistency model.
-                if model != Model::StrictRmo {
+                // Under the strict models there are no persist barriers:
+                // persistency is the consistency model.
+                if !coupled {
                     fold_epoch(dom, &mut threads[t]);
                 }
             }
@@ -332,17 +330,17 @@ pub(crate) fn push_events<D: Domain>(
             }
             Op::MemBarrier => {
                 // A consistency barrier orders store visibility; only
-                // strict persistency on a relaxed model derives persist
-                // order from it. (Under SC-strict everything is already
-                // ordered; epoch/strand persistency explicitly decouple
-                // store visibility from persist order, §4.2.)
-                if model == Model::StrictRmo {
+                // strict persistency derives persist order from it (a no-op
+                // under SC-strict, where every access already folded;
+                // epoch/strand persistency explicitly decouple store
+                // visibility from persist order, §4.2).
+                if coupled {
                     fold_epoch(dom, &mut threads[t]);
                 }
             }
             Op::NewStrand => {
                 stats.strands += 1;
-                if model == Model::Strand {
+                if strand_scoped {
                     let st = &mut threads[t];
                     dom.reset_dep(&mut st.prev);
                     dom.reset_dep(&mut st.cur);

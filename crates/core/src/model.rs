@@ -61,6 +61,26 @@ impl Model {
             Model::Strand => "strand",
         }
     }
+
+    /// Persistency is coupled to consistency (the strict models): every
+    /// store is its own persist, the front end waits for it, and any
+    /// fence (a memory barrier) is a durability point. The other models
+    /// buffer persists behind flushes and order them at persist barriers.
+    pub fn persists_at_store(self) -> bool {
+        matches!(self, Model::Strict | Model::StrictRmo)
+    }
+
+    /// One thread's persists form a single chain in store order (strict
+    /// under SC). Every other model leaves some of them concurrent.
+    pub fn totally_ordered(self) -> bool {
+        self == Model::Strict
+    }
+
+    /// Persist order is scoped to strands: a strand barrier discards
+    /// every dependence the thread has accumulated.
+    pub fn strand_scoped(self) -> bool {
+        self == Model::Strand
+    }
 }
 
 impl fmt::Display for Model {
@@ -149,6 +169,17 @@ mod tests {
         let names: std::collections::HashSet<_> = Model::ALL.iter().map(|m| m.name()).collect();
         assert_eq!(names.len(), Model::ALL.len());
         assert_eq!(Model::Strand.to_string(), "strand");
+    }
+
+    #[test]
+    fn serial_stream_predicates() {
+        let row = |m: Model| (m.persists_at_store(), m.totally_ordered(), m.strand_scoped());
+        assert_eq!(row(Model::Strict), (true, true, false));
+        assert_eq!(row(Model::StrictRmo), (true, false, false));
+        // BPFS differs from epoch only in cross-thread conflict detection.
+        assert_eq!(row(Model::Epoch), (false, false, false));
+        assert_eq!(row(Model::Bpfs), row(Model::Epoch));
+        assert_eq!(row(Model::Strand), (false, false, true));
     }
 
     #[test]

@@ -45,6 +45,9 @@ use std::sync::atomic::{fence, Ordering};
 #[inline]
 pub unsafe fn flush_cache_line(p: *const u8) {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: the caller guarantees `p` is mapped, which is all `clflush`
+    // needs; it writes the line back without reading or writing through
+    // `p`, and SSE2 (which provides it) is baseline on x86_64.
     unsafe {
         core::arch::x86_64::_mm_clflush(p);
     }
@@ -71,6 +74,8 @@ pub unsafe fn flush_cache_line(p: *const u8) {
 #[inline]
 pub fn persist_fence() {
     #[cfg(target_arch = "x86_64")]
+    // SAFETY: a store fence accesses no memory, and SSE (which provides
+    // it) is baseline on x86_64.
     unsafe {
         core::arch::x86_64::_mm_sfence();
     }
@@ -114,6 +119,7 @@ mod tests {
     #[test]
     fn flush_and_fence_do_not_crash() {
         let buf = vec![0u8; 256];
+        // SAFETY: the range is exactly `buf`'s live allocation.
         unsafe { flush_range(buf.as_ptr(), buf.len()) };
         persist_fence();
     }
@@ -121,6 +127,7 @@ mod tests {
     #[test]
     fn flush_range_handles_unaligned_and_empty() {
         let buf = vec![0u8; 300];
+        // SAFETY: both ranges lie within `buf`'s 300 live bytes.
         unsafe {
             flush_range(buf.as_ptr().add(3), 200);
             flush_range(buf.as_ptr(), 0);
@@ -131,6 +138,7 @@ mod tests {
     #[test]
     fn flush_single_byte() {
         let x = 7u8;
+        // SAFETY: `x` is a live local.
         unsafe { flush_cache_line(&x as *const u8) };
         persist_fence();
     }

@@ -221,6 +221,19 @@ macro_rules! from_int {
 }
 from_int!(u8, u32, u64, usize);
 
+/// The shortest decimal text that parses back to `v` (`0.001`, `0`,
+/// `50000`): for echoing configuration values exactly as given.
+///
+/// # Panics
+///
+/// If `v` is not finite: JSON has no literal for it.
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        assert!(v.is_finite(), "JSON has no literal for {v}");
+        Value::Num(v.to_string())
+    }
+}
+
 impl From<bool> for Value {
     fn from(b: bool) -> Value {
         Value::Bool(b)
@@ -400,6 +413,21 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn f64_renders_shortest_round_trip() {
+        for (v, text) in [(0.001, "0.001"), (0.01, "0.01"), (0.0, "0"), (50_000.0, "50000")] {
+            let n = Value::from(v);
+            assert_eq!(n.to_string(), text);
+            assert_eq!(parse(text).unwrap().as_f64(), Some(v));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no literal")]
+    fn f64_rejects_non_finite() {
+        let _ = Value::from(f64::NAN);
+    }
 
     #[test]
     fn escapes_round_trip() {

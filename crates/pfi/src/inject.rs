@@ -10,43 +10,55 @@
 //! - **pending** — written but not guaranteed; the crash may keep or drop
 //!   it, subject to the model's ordering constraints.
 //!
-//! Durability rules: under epoch, BPFS and strand persistency a fragment
-//! is durable once a *flush* covering its line (issued after the store)
-//! has been followed by a *fence* — for strand, a fence on the same strand
-//! as the flush. Under strict and strict-RMO persistency the ISA has no
-//! flush; we read the backend's fence as the model's sync point, so a
-//! fragment is durable once any fence follows its store.
+//! The log is one serial persist stream, so every rule here reads only
+//! the model's three serial-stream predicates
+//! ([`Model::persists_at_store`], [`Model::totally_ordered`],
+//! [`Model::strand_scoped`]); no model is named. BPFS answers all three
+//! like epoch: it differs from epoch only in cross-thread conflict
+//! detection, which a one-thread stream never exercises.
 //!
-//! Drop rules for pending fragments (what [`FragmentSet::draw`] samples
-//! and [`FragmentSet::is_legal`] admits):
+//! Durability rules: when persists happen at the store (strict,
+//! strict-rmo) the ISA has no flush; the backend's fence is read as the
+//! model's sync point, so a fragment is durable once any fence follows its
+//! store. Otherwise a fragment is durable once a *flush* covering its line
+//! (issued after the store) has been followed by a *fence*; under strand
+//! scoping the fence must be on the flush's strand.
 //!
-//! - **strict** — persists happen in store order, so the survivors are a
-//!   prefix of the pending fragments in sequence order.
-//! - **strict-rmo** — same-thread store order is only enforced across
-//!   memory barriers; absent those, per-line order survives (strong
-//!   persist atomicity) but lines are mutually unordered: an independent
-//!   sequence-prefix per cache line.
-//! - **epoch** — fences delimit epochs; persists of epoch `e` all happen
+//! Ordering: the pending fragments split into groups the model orders
+//! independently, and within a group either as a chain or by epoch.
+//!
+//! - When persists happen at the store, each group is a chain in store
+//!   order and the survivors are a prefix of it: one group if the model is
+//!   totally ordered (strict), one per cache line otherwise (strict-rmo:
+//!   same-thread order is enforced only across memory barriers, and
+//!   strong persist atomicity keeps per-line order; lines are mutually
+//!   unordered).
+//! - Otherwise fences delimit epochs: persists of epoch `e` all happen
 //!   before any persist of epoch `e' > e`. Survivors are epoch-downward
 //!   closed: everything below a boundary epoch survives, an arbitrary
 //!   subset of the boundary epoch survives, everything above is dropped.
-//! - **bpfs** — epoch ordering is enforced per cache line (the BPFS
-//!   commit protocol orders epochs through the line it touches): modeled
-//!   as per-line prefixes, as strict-rmo.
-//! - **strand** — the epoch rule applies within each strand
-//!   independently; fragments on different strands are unordered.
+//!   One group (epoch, bpfs), or one per strand under strand scoping
+//!   (fragments on different strands are unordered; this leaves out the
+//!   strong persist atomicity that orders a later strand's overwrite
+//!   after what an earlier strand fenced before its own store there).
+//!
+//! Durability is closed downward at build time: a fragment is durable
+//! once anything its group orders after it is durable (that later persist
+//! could not have happened first), or once a later fragment of its line is
+//! (a line writes back whole). So the durable fragments of a line are
+//! always a prefix of its stores, which [`crate::replay::Replayer`] relies
+//! on.
 //!
 //! With torn persists enabled, fragments at the drop boundary (the last
-//! survivor under a prefix rule; boundary-epoch members under an epoch
-//! rule) may additionally persist only a subset of their
-//! [`AtomicPersistSize`] units — the same granularity knob the `nvram`
-//! wear model sweeps. Fragments *below* the boundary cannot tear: the
-//! fence that ordered them ahead of surviving persists guaranteed all
-//! their units.
+//! survivor of a chain; boundary-epoch members) may additionally persist
+//! only a subset of their [`AtomicPersistSize`] units — the same
+//! granularity knob the `nvram` wear model sweeps. Fragments *below* the
+//! boundary cannot tear: the fence that ordered them ahead of surviving
+//! persists guaranteed all their units.
 
 use crate::shadow::{Recording, ShadowEvent};
 use mem_trace::rng::SmallRng;
-use persist_mem::{AtomicPersistSize, MemAddr, MemoryImage, CACHE_LINE_BYTES};
+use persist_mem::{AtomicPersistSize, FxHashMap, MemAddr, MemoryImage, CACHE_LINE_BYTES};
 use persistency::Model;
 
 /// A store restricted to one cache line.
@@ -64,27 +76,17 @@ pub struct Fragment {
     pub epoch: u32,
     /// Strand id at the store.
     pub strand: u32,
-    /// Fence count within the strand at the store.
-    pub strand_epoch: u32,
-    /// First event index whose execution makes the fragment durable under
-    /// a fence-only rule (strict, strict-rmo).
-    durable_fence: Option<usize>,
-    /// Same under the flush-then-fence rule (epoch, bpfs).
-    durable_flush_fence: Option<usize>,
-    /// Same with the fence required on the flush's strand (strand).
-    durable_strand: Option<usize>,
+    /// First event index whose execution makes the fragment durable
+    /// ([`NEVER`] if none), per model in [`Model::ALL`] order, closed
+    /// downward (see the module docs).
+    durable: [usize; Model::ALL.len()],
 }
 
 impl Fragment {
     /// The event index after which this fragment is guaranteed durable
     /// under `model`, if any.
     pub fn durable_at(&self, model: Model) -> Option<usize> {
-        match model {
-            Model::Strict | Model::StrictRmo => self.durable_fence,
-            Model::Epoch | Model::Bpfs => self.durable_flush_fence,
-            Model::Strand => self.durable_strand,
-            _ => self.durable_flush_fence,
-        }
+        Some(self.durable[model_index(model)]).filter(|&d| d != NEVER)
     }
 
     /// Number of atomic-persist units the fragment spans.
@@ -92,6 +94,27 @@ impl Fragment {
         self.data.len().div_ceil(unit as usize) as u32
     }
 }
+
+fn model_index(model: Model) -> usize {
+    Model::ALL.iter().position(|&m| m == model).expect("every model is in Model::ALL")
+}
+
+/// The key of the groups `model` orders independently, or `None` if it
+/// orders the whole stream as one group.
+fn group_key(model: Model) -> Option<fn(&Fragment) -> u64> {
+    if model.totally_ordered() {
+        None
+    } else if model.persists_at_store() {
+        Some(|f| f.line)
+    } else if model.strand_scoped() {
+        Some(|f| u64::from(f.strand))
+    } else {
+        None
+    }
+}
+
+/// The durability point of a fragment that never becomes durable.
+const NEVER: usize = usize::MAX;
 
 /// A surviving pending fragment, possibly torn to a subset of its units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,20 +158,14 @@ impl FragmentSet {
     /// into a [`Recording`].
     pub fn from_events(events: &[ShadowEvent], unit: AtomicPersistSize) -> Self {
         let line_sz = CACHE_LINE_BYTES;
-        // Tag every event with (epoch, strand, strand_epoch).
+        // Tag every event with (epoch, strand).
         let mut tags = Vec::with_capacity(events.len());
-        let (mut epoch, mut strand, mut strand_epoch) = (0u32, 0u32, 0u32);
+        let (mut epoch, mut strand) = (0u32, 0u32);
         for e in events {
-            tags.push((epoch, strand, strand_epoch));
+            tags.push((epoch, strand));
             match e {
-                ShadowEvent::Fence => {
-                    epoch += 1;
-                    strand_epoch += 1;
-                }
-                ShadowEvent::Strand => {
-                    strand += 1;
-                    strand_epoch = 0;
-                }
+                ShadowEvent::Fence => epoch += 1,
+                ShadowEvent::Strand => strand += 1,
                 _ => {}
             }
         }
@@ -156,7 +173,7 @@ impl FragmentSet {
         let mut frags = Vec::new();
         for (idx, e) in events.iter().enumerate() {
             let ShadowEvent::Store { addr, data } = e else { continue };
-            let (epoch, strand, strand_epoch) = tags[idx];
+            let (epoch, strand) = tags[idx];
             let mut off = 0usize;
             while off < data.len() {
                 let a = addr.add(off as u64);
@@ -170,17 +187,18 @@ impl FragmentSet {
                     line,
                     epoch,
                     strand,
-                    strand_epoch,
-                    durable_fence: None,
-                    durable_flush_fence: None,
-                    durable_strand: None,
+                    durable: [NEVER; Model::ALL.len()],
                 });
                 off += take;
             }
         }
 
-        // Durability scans (event counts are small; clarity over big-O).
+        // Durability scans (event counts are small; clarity over big-O):
+        // the first fence after the store, the first fence after a
+        // covering flush, and the first such fence on the flush's strand,
+        // each model taking its own rule's.
         for f in &mut frags {
+            let (mut fence, mut flushed, mut on_strand) = (None, None, None);
             let mut covered: Option<u32> = None; // strand of the last covering flush
             for (i, e) in events.iter().enumerate().skip(f.event + 1) {
                 match e {
@@ -192,26 +210,84 @@ impl FragmentSet {
                         }
                     }
                     ShadowEvent::Fence => {
-                        if f.durable_fence.is_none() {
-                            f.durable_fence = Some(i);
-                        }
+                        fence = fence.or(Some(i));
                         if let Some(fl_strand) = covered {
-                            if f.durable_flush_fence.is_none() {
-                                f.durable_flush_fence = Some(i);
-                            }
-                            if f.durable_strand.is_none() && tags[i].1 == fl_strand {
-                                f.durable_strand = Some(i);
+                            flushed = flushed.or(Some(i));
+                            if tags[i].1 == fl_strand {
+                                on_strand = on_strand.or(Some(i));
                             }
                         }
                     }
                     _ => {}
                 }
-                if f.durable_fence.is_some()
-                    && f.durable_flush_fence.is_some()
-                    && f.durable_strand.is_some()
-                {
+                if fence.is_some() && flushed.is_some() && on_strand.is_some() {
                     break;
                 }
+            }
+            for (m, &model) in Model::ALL.iter().enumerate() {
+                let d = if model.persists_at_store() {
+                    fence
+                } else if model.strand_scoped() {
+                    on_strand
+                } else {
+                    flushed
+                };
+                f.durable[m] = d.unwrap_or(NEVER);
+            }
+        }
+
+        // The next fragment on each fragment's line. Without strands the
+        // epoch order already closes each line (a later store on a line is
+        // in the same or a later epoch, and a flush covering it covers the
+        // earlier one too), so only a stream with strands needs the links.
+        let mut next_on_line = vec![None; frags.len()];
+        if strand > 0 {
+            let mut last: FxHashMap<u64, usize> = FxHashMap::default();
+            for (i, f) in frags.iter().enumerate().rev() {
+                next_on_line[i] = last.insert(f.line, i);
+            }
+        }
+
+        // Downward closure, per model. When persists happen at the store
+        // the first fence after a store also follows every earlier store,
+        // so durability is already closed. Otherwise one reverse pass
+        // carries the earliest durability of the later epochs of the
+        // fragment's group (a strand, or the whole stream: either way a
+        // contiguous run of fragments) and of the next fragment on its
+        // line, which already includes everything after it.
+        let predicates = |m: Model| (m.persists_at_store(), m.totally_ordered(), m.strand_scoped());
+        for (m, &model) in Model::ALL.iter().enumerate() {
+            if model.persists_at_store() {
+                continue;
+            }
+            // Models that answer the predicates alike share durability.
+            let twin = Model::ALL[..m].iter().position(|&o| predicates(o) == predicates(model));
+            if let Some(t) = twin {
+                for f in &mut frags {
+                    f.durable[m] = f.durable[t];
+                }
+                continue;
+            }
+            // The (group, epoch) run being walked, the earliest durability
+            // within it, and the earliest among its group's later epochs.
+            let group = group_key(model);
+            let mut run: Option<(u64, u32)> = None;
+            let (mut in_run, mut after) = (NEVER, NEVER);
+            for i in (0..frags.len()).rev() {
+                let f = &frags[i];
+                let key = (group.map_or(0, |k| k(f)), f.epoch);
+                if run != Some(key) {
+                    // An earlier epoch of the same group is ordered before
+                    // the run just left; a new group starts unordered.
+                    let same_group = run.is_some_and(|(g, _)| g == key.0);
+                    after = if same_group { in_run.min(after) } else { NEVER };
+                    in_run = NEVER;
+                    run = Some(key);
+                }
+                let next = next_on_line[i].map_or(NEVER, |j| frags[j].durable[m]);
+                let d = f.durable[m].min(after).min(next);
+                in_run = in_run.min(d);
+                frags[i].durable[m] = d;
             }
         }
 
@@ -240,8 +316,26 @@ impl FragmentSet {
 
     /// Indices of fragments pending (written, not durable) at `point`.
     pub fn pending(&self, model: Model, point: usize) -> Vec<usize> {
+        let m = model_index(model);
         (0..self.frags.len())
-            .filter(|&i| self.frags[i].event < point && !self.is_durable(i, model, point))
+            .filter(|&i| {
+                let f = &self.frags[i];
+                f.event < point && f.durable[m] >= point
+            })
+            .collect()
+    }
+
+    /// Splits `pending` into the groups `model` orders independently, in
+    /// ascending key order, each in sequence order. A one-group model
+    /// keeps its group even when empty (a chain draw then still consumes
+    /// its one random number).
+    fn groups(&self, model: Model, pending: Vec<usize>) -> Vec<Vec<usize>> {
+        let Some(key) = group_key(model) else { return vec![pending] };
+        let mut keys: Vec<u64> = pending.iter().map(|&i| key(&self.frags[i])).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys.into_iter()
+            .map(|k| pending.iter().copied().filter(|&i| key(&self.frags[i]) == k).collect())
             .collect()
     }
 
@@ -254,127 +348,70 @@ impl FragmentSet {
         }
     }
 
+    /// Keeps boundary fragment `i`, torn to a random unit subset one time
+    /// in four when `torn` is set (a subset that comes out empty drops it).
+    fn keep_boundary(&self, i: usize, rng: &mut SmallRng, torn: bool, out: &mut Vec<Survivor>) {
+        let full = self.full_mask(i);
+        let mask = if torn && rng.gen_below(4) == 0 { rng.next_u64() & full } else { full };
+        if mask != 0 {
+            out.push(Survivor { frag: i, unit_mask: mask });
+        }
+    }
+
     /// Samples a crash case at `point`: a legal survivor subset of the
     /// pending fragments under `model`, optionally with torn boundary
     /// fragments.
     pub fn draw(&self, model: Model, point: usize, rng: &mut SmallRng, torn: bool) -> CrashCase {
         let pending = self.pending(model, point);
         let mut survivors = Vec::new();
-        let keep_full = |survivors: &mut Vec<Survivor>, i: usize| {
-            survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) });
-        };
-        // Keeps a boundary fragment with a random (possibly partial) mask.
-        let keep_boundary = |survivors: &mut Vec<Survivor>, i: usize, rng: &mut SmallRng| {
-            let full = self.full_mask(i);
-            let mask = if torn && rng.gen_below(4) == 0 { rng.next_u64() & full } else { full };
-            if mask != 0 {
-                survivors.push(Survivor { frag: i, unit_mask: mask });
-            }
-        };
-
-        match model {
-            Model::Strict => {
-                let k = rng.gen_below(pending.len() as u64 + 1) as usize;
-                for (n, &i) in pending.iter().take(k).enumerate() {
+        for group in self.groups(model, pending) {
+            if model.persists_at_store() {
+                // A prefix of the chain; only its last member may tear.
+                let k = rng.gen_below(group.len() as u64 + 1) as usize;
+                for (n, &i) in group.iter().take(k).enumerate() {
                     if n + 1 == k {
-                        keep_boundary(&mut survivors, i, rng);
+                        self.keep_boundary(i, rng, torn, &mut survivors);
                     } else {
-                        keep_full(&mut survivors, i);
+                        survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) });
                     }
                 }
-            }
-            Model::StrictRmo | Model::Bpfs => {
-                // Independent prefix per line.
-                let mut lines: Vec<u64> = pending.iter().map(|&i| self.frags[i].line).collect();
-                lines.sort_unstable();
-                lines.dedup();
-                for line in lines {
-                    let of_line: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].line == line)
-                        .collect();
-                    let k = rng.gen_below(of_line.len() as u64 + 1) as usize;
-                    for (n, &i) in of_line.iter().take(k).enumerate() {
-                        if n + 1 == k {
-                            keep_boundary(&mut survivors, i, rng);
-                        } else {
-                            keep_full(&mut survivors, i);
-                        }
-                    }
-                }
-            }
-            Model::Epoch => {
-                self.draw_epochwise(&pending, |i| self.frags[i].epoch, rng, &mut survivors, torn);
-            }
-            Model::Strand => {
-                let mut strands: Vec<u32> = pending.iter().map(|&i| self.frags[i].strand).collect();
-                strands.sort_unstable();
-                strands.dedup();
-                for s in strands {
-                    let of_strand: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].strand == s)
-                        .collect();
-                    self.draw_epochwise(
-                        &of_strand,
-                        |i| self.frags[i].strand_epoch,
-                        rng,
-                        &mut survivors,
-                        torn,
-                    );
-                }
-            }
-            _ => {
-                self.draw_epochwise(&pending, |i| self.frags[i].epoch, rng, &mut survivors, torn);
+            } else {
+                self.draw_epochwise(&group, rng, &mut survivors, torn);
             }
         }
         survivors.sort_unstable_by_key(|s| s.frag);
         CrashCase { point, survivors }
     }
 
-    /// Epoch-downward-closed draw over `pending` with epochs given by
-    /// `epoch_of`: pick a boundary epoch, keep everything below it, flip a
-    /// coin (and possibly tear) inside it, drop everything above.
+    /// Epoch-downward-closed draw over one group: pick a boundary epoch,
+    /// keep everything below it, flip a coin (and possibly tear) inside
+    /// it, drop everything above.
     fn draw_epochwise(
         &self,
-        pending: &[usize],
-        epoch_of: impl Fn(usize) -> u32,
+        group: &[usize],
         rng: &mut SmallRng,
         survivors: &mut Vec<Survivor>,
         torn: bool,
     ) {
-        if pending.is_empty() {
+        if group.is_empty() {
             return;
         }
-        let mut epochs: Vec<u32> = pending.iter().map(|&i| epoch_of(i)).collect();
+        let mut epochs: Vec<u32> = group.iter().map(|&i| self.frags[i].epoch).collect();
         epochs.sort_unstable();
         epochs.dedup();
         // One past the last = everything pending survives intact.
         let c = rng.gen_index(epochs.len() + 1);
         let boundary = epochs.get(c).copied();
-        for &i in pending {
-            let e = epoch_of(i);
+        for &i in group {
+            let e = self.frags[i].epoch;
             match boundary {
-                None => survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) }),
-                Some(b) if e < b => {
-                    survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) })
-                }
                 Some(b) if e == b => {
                     if rng.gen_below(2) == 0 {
-                        let full = self.full_mask(i);
-                        let mask = if torn && rng.gen_below(4) == 0 {
-                            rng.next_u64() & full
-                        } else {
-                            full
-                        };
-                        if mask != 0 {
-                            survivors.push(Survivor { frag: i, unit_mask: mask });
-                        }
+                        self.keep_boundary(i, rng, torn, survivors);
                     }
                 }
-                Some(_) => {}
+                Some(b) if e > b => {}
+                _ => survivors.push(Survivor { frag: i, unit_mask: self.full_mask(i) }),
             }
         }
     }
@@ -419,12 +456,10 @@ impl FragmentSet {
             }
             true
         };
-        let epoch_ok = |group: &[usize], epoch_of: &dyn Fn(usize) -> u32| -> bool {
-            let Some(boundary) = group
-                .iter()
-                .filter(|i| kept.contains_key(i))
-                .map(|&i| epoch_of(i))
-                .max()
+        let epoch_ok = |group: &[usize]| -> bool {
+            let epoch_of = |i: usize| self.frags[i].epoch;
+            let Some(boundary) =
+                group.iter().filter(|i| kept.contains_key(i)).map(|&i| epoch_of(i)).max()
             else {
                 return true; // nothing kept: dropping everything is legal
             };
@@ -437,38 +472,9 @@ impl FragmentSet {
                 }
             })
         };
-
-        match model {
-            Model::Strict => prefix_ok(&pending),
-            Model::StrictRmo | Model::Bpfs => {
-                let mut lines: Vec<u64> = pending.iter().map(|&i| self.frags[i].line).collect();
-                lines.sort_unstable();
-                lines.dedup();
-                lines.iter().all(|&l| {
-                    let group: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].line == l)
-                        .collect();
-                    prefix_ok(&group)
-                })
-            }
-            Model::Epoch => epoch_ok(&pending, &|i| self.frags[i].epoch),
-            Model::Strand => {
-                let mut strands: Vec<u32> = pending.iter().map(|&i| self.frags[i].strand).collect();
-                strands.sort_unstable();
-                strands.dedup();
-                strands.iter().all(|&s| {
-                    let group: Vec<usize> = pending
-                        .iter()
-                        .copied()
-                        .filter(|&i| self.frags[i].strand == s)
-                        .collect();
-                    epoch_ok(&group, &|i| self.frags[i].strand_epoch)
-                })
-            }
-            _ => epoch_ok(&pending, &|i| self.frags[i].epoch),
-        }
+        self.groups(model, pending)
+            .iter()
+            .all(|g| if model.persists_at_store() { prefix_ok(g) } else { epoch_ok(g) })
     }
 
     /// Builds the post-crash image for `case`: the base image plus every
@@ -608,6 +614,24 @@ mod tests {
         assert_eq!(fs.pending(Model::Epoch, 2), vec![0]);
         // Strict's fence-only rule also needs the fence executed.
         assert_eq!(fs.pending(Model::Strict, 2), vec![0]);
+    }
+
+    #[test]
+    fn durability_closes_over_groups_and_lines() {
+        // Strand 0 stores A; strand 1 stores B on A's line, fences, then
+        // stores C elsewhere and persists it.
+        let mut s = ShadowPmem::new();
+        s.store_u64(MemAddr::persistent(0), 1);
+        s.strand();
+        s.store_u64(MemAddr::persistent(8), 2);
+        s.fence();
+        s.store_u64(MemAddr::persistent(64), 3);
+        s.persist(MemAddr::persistent(64), 8);
+        let fs = FragmentSet::build(&s.into_recording(), AtomicPersistSize::default());
+        assert_eq!(fs.pending(Model::Strand, 6), vec![0, 1, 2]);
+        // C's fence makes C durable, B with it (its strand ordered B
+        // first), and A with B (A's bytes are in B's line).
+        assert_eq!(fs.pending(Model::Strand, 7), Vec::<usize>::new());
     }
 
     #[test]

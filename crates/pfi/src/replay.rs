@@ -12,11 +12,11 @@
 //!   keeps a ladder of cumulative snapshots — the line's bytes after its
 //!   first `k` fragments have persisted — plus each fragment's *qualify
 //!   point* (the crash point from which the model guarantees it durable);
-//! - qualify points are monotone in store order within a line (a later
-//!   overlapping store can never be durable before an earlier one — its
-//!   flush/fence covers both), so the durable fragments of a line at any
-//!   crash point are exactly a prefix of its ladder, and the durable line
-//!   content is a single O(line) snapshot copy;
+//! - qualify points are monotone in store order within a line
+//!   ([`FragmentSet`] closes durability over each line: a fragment is
+//!   durable once a later one on its line is), so the durable fragments
+//!   of a line at any crash point are exactly a prefix of its ladder, and
+//!   the durable line content is a single O(line) snapshot copy;
 //! - one scratch [`MemoryImage`] (a clone of the recording's base) is
 //!   reused across injections as a copy-on-write overlay: materializing
 //!   writes only the lines the crash touches and logs an undo region per
@@ -239,12 +239,31 @@ mod tests {
         s.into_recording()
     }
 
+    /// Under strand, the fenced line-1 store makes the earlier line-0
+    /// store of its strand durable, and through line 0 the first strand's
+    /// store there too: durability closed over a group and over a line.
+    fn cross_strand_recording() -> Recording {
+        let mut s = ShadowPmem::new();
+        s.store_u64(MemAddr::persistent(0), 1);
+        s.strand();
+        s.store_u64(MemAddr::persistent(8), 2);
+        s.fence();
+        s.store_u64(MemAddr::persistent(64), 3);
+        s.persist(MemAddr::persistent(64), 8);
+        s.into_recording()
+    }
+
     #[test]
     fn matches_oracle_and_resets_clean() {
-        let rec = recording();
-        let frags = FragmentSet::build(&rec, AtomicPersistSize::default());
+        for rec in [recording(), cross_strand_recording()] {
+            matches_oracle(&rec);
+        }
+    }
+
+    fn matches_oracle(rec: &Recording) {
+        let frags = FragmentSet::build(rec, AtomicPersistSize::default());
         for model in Model::ALL {
-            let mut r = Replayer::new(&frags, &rec, model);
+            let mut r = Replayer::new(&frags, rec, model);
             let mut rng = SmallRng::seed_from_u64(9);
             for point in 0..=rec.events.len() {
                 for _ in 0..8 {

@@ -63,6 +63,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod bounded;
 pub mod entry;

@@ -124,6 +124,12 @@ impl DataSegment {
     /// Callers must hold the right to `[pos, pos + slot)` exclusively.
     fn write_entry(&self, pos: u64, payload: &[u8]) {
         debug_assert_eq!(payload.len(), PAYLOAD_BYTES);
+        // SAFETY: `pos` is a slot start (`head % capacity`, and the
+        // capacity is a whole number of slots), and a slot holds the 8-byte
+        // length plus the payload, so every write stays inside the boxed
+        // segment. The caller owns `[pos, pos + slot)` exclusively, so no
+        // other thread reads or writes these bytes meanwhile, and
+        // `payload` (a separate allocation) cannot overlap them.
         unsafe {
             let base = (*self.bytes.get()).as_mut_ptr().add(pos as usize);
             base.cast::<u64>().write_unaligned(PAYLOAD_BYTES as u64);
@@ -133,6 +139,9 @@ impl DataSegment {
     }
 
     fn read_slot(&self, pos: u64) -> (u64, Vec<u8>) {
+        // SAFETY: in bounds as in `write_entry`. Reads happen only in
+        // validation, after the inserting threads are done, so no write to
+        // the slot is in flight.
         unsafe {
             let base = (*self.bytes.get()).as_ptr().add(pos as usize);
             let len = base.cast::<u64>().read_unaligned();
@@ -449,6 +458,8 @@ mod tests {
         let lock = NativeMcsLock::new();
         let counter = UnsafeCell::new(0u64);
         struct Shared<'a>(&'a NativeMcsLock, &'a UnsafeCell<u64>);
+        // SAFETY: the counter is only touched while holding the lock, which
+        // is what this test checks.
         unsafe impl Sync for Shared<'_> {}
         let shared = Shared(&lock, &counter);
         std::thread::scope(|s| {
@@ -458,13 +469,15 @@ mod tests {
                     let node = McsNode::new();
                     for _ in 0..10_000 {
                         sh.0.acquire(&node);
-                        // Non-atomic increment under the lock.
+                        // SAFETY: a non-atomic increment, exclusive under
+                        // the lock.
                         unsafe { *sh.1.get() += 1 };
                         sh.0.release(&node);
                     }
                 });
             }
         });
+        // SAFETY: every thread has joined; nothing else holds the cell.
         assert_eq!(unsafe { *counter.get() }, 40_000);
     }
 

@@ -4,32 +4,32 @@
 //! needs the dual view: persists arrive one at a time, while the store is
 //! executing requests, and the persistency model decides how much ordering
 //! each new persist inherits from the ones already in flight. This module
-//! keeps exactly the state that decision needs — per-bank free times, a
-//! model-dependent dependence horizon, per-line completion times for BPFS
-//! — and answers one question per operation: *when is this request
-//! durable?*
+//! keeps exactly the state that decision needs — per-bank free times and
+//! a dependence horizon — and answers one question per operation: *when
+//! is this request durable?*
 //!
-//! The mapping from the paper's models to scheduling rules:
+//! A shard is one serial persist stream, so the scheduling rules read only
+//! the model's three serial-stream predicates, the same ones the core
+//! engine and pfi's crash injector use; no model is named:
 //!
-//! - **strict** — every store is its own persist and the persist order is
-//!   the store order: each write starts no earlier than the previous
-//!   write's completion (a single global chain), and the front end is
-//!   *unbuffered* (the thread stalls until durability).
-//! - **strict-rmo** — store-granular persists, but only fences order them:
-//!   writes between two fences are concurrent (bank conflicts aside);
-//!   still unbuffered.
-//! - **epoch** — persists are issued at flush granularity, so same-line
-//!   stores within an epoch coalesce into one device write; a fence orders
-//!   whole epochs (every later persist starts after every earlier one
-//!   completes); the front end is *buffered* — the thread continues at CPU
-//!   speed and only the response waits for durability.
-//! - **bpfs** — epoch persistency with ordering enforced only where
-//!   commits actually overlap: a persist waits for the previous persist
-//!   *to the same cache line*, not for the whole previous epoch. Hot lines
-//!   (Zipf head keys, queue head pointers) still serialize.
-//! - **strand** — epoch rules within a strand, and the strand barrier the
-//!   native protocols issue at operation start discards all accumulated
+//! - [`Model::persists_at_store`] (strict, strict-rmo) — every store is its
+//!   own device write, issued at the store, and the front end is
+//!   *unbuffered* (the thread stalls until durability). Otherwise persists
+//!   are issued at flush granularity, so same-line stores within an epoch
+//!   coalesce into one device write, and the front end is *buffered*: the
+//!   thread continues at CPU speed and only the response waits.
+//! - [`Model::totally_ordered`] (strict) — each write starts no earlier
+//!   than the previous write's completion (a single global chain).
+//!   Otherwise a fence orders whole epochs: every later persist starts
+//!   after every earlier one completes, and writes between two fences are
+//!   concurrent (bank conflicts aside).
+//! - [`Model::strand_scoped`] (strand) — the strand barrier the native
+//!   protocols issue at operation start discards all accumulated
 //!   dependences: operations only contend for banks.
+//!
+//! BPFS answers all three like epoch and schedules exactly like it: it
+//! differs from epoch only in cross-thread conflict detection, and a
+//! shard's stream has one thread.
 //!
 //! Times are `f64` nanoseconds. Everything here is deterministic given the
 //! call sequence, which is what makes the virtual-time smoke mode
@@ -38,13 +38,6 @@
 use nvram::DeviceConfig;
 use persist_mem::{DirectPmem, FxHashMap, MemAddr, PmemBackend, CACHE_LINE_BYTES};
 use persistency::Model;
-
-/// Is the front end buffered (thread does not stall to durability) under
-/// this model? The paper's strict variants persist synchronously; the
-/// buffered models overlap persists with execution (§4.2).
-pub fn buffered(model: Model) -> bool {
-    !matches!(model, Model::Strict | Model::StrictRmo)
-}
 
 /// Aggregate device-side accounting for one shard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -95,15 +88,13 @@ pub struct ShardDevice {
     now_ns: f64,
     /// When each bank next becomes free.
     bank_free: Vec<f64>,
-    /// Everything a new persist must wait for under the current model
-    /// (previous persist under strict, previous fenced epochs otherwise).
+    /// Everything a new persist must wait for (the previous persist under
+    /// a total order, the previous fenced epochs otherwise).
     dep_horizon: f64,
     /// Max completion among persists issued since the last fence.
     epoch_max_done: f64,
     /// Max completion among persists issued by the current operation.
     op_max_done: f64,
-    /// Completion time of the last persist per line (BPFS ordering).
-    line_last_done: FxHashMap<u64, f64>,
     /// Lines stored since their last flush (coalescing under the buffered
     /// models); tiny per operation, scanned linearly.
     dirty: Vec<u64>,
@@ -135,7 +126,6 @@ impl ShardDevice {
             dep_horizon: 0.0,
             epoch_max_done: 0.0,
             op_max_done: 0.0,
-            line_last_done: FxHashMap::default(),
             dirty: Vec::new(),
             wear: FxHashMap::default(),
             in_group: false,
@@ -190,7 +180,7 @@ impl ShardDevice {
     pub fn end_group(&mut self, cpu_done_ns: f64) -> f64 {
         self.in_group = false;
         let mut flushed = 0usize;
-        if !matches!(self.model, Model::Strict | Model::StrictRmo) {
+        if !self.model.persists_at_store() {
             // The closing barrier is issued once the batch's CPU work has
             // drained; each deferred line becomes one device write here no
             // matter how many requests stored to it.
@@ -230,17 +220,11 @@ impl ShardDevice {
         addr.offset() / CACHE_LINE_BYTES
     }
 
-    /// Services one cache-line write: waits for the model's ordering
-    /// predecessor and the line's bank, then occupies the bank for one
-    /// write latency.
+    /// Services one cache-line write: waits for the dependence horizon
+    /// and the line's bank, then occupies the bank for one write latency.
     fn schedule(&mut self, line: u64) {
         let bank = self.cfg.bank_of_line(line);
-        let ready = match self.model {
-            Model::Bpfs => {
-                self.now_ns.max(self.line_last_done.get(&line).copied().unwrap_or(0.0))
-            }
-            _ => self.now_ns.max(self.dep_horizon),
-        };
+        let ready = self.now_ns.max(self.dep_horizon);
         let start = ready.max(self.bank_free[bank]);
         if start > ready {
             self.stats.bank_conflicts += 1;
@@ -262,12 +246,9 @@ impl ShardDevice {
         self.epoch_max_done = self.epoch_max_done.max(done);
         self.op_max_done = self.op_max_done.max(done);
         self.stats.last_done_ns = self.stats.last_done_ns.max(done);
-        if self.model == Model::Strict {
-            // Strict persistency: a single global persist chain.
+        if self.model.totally_ordered() {
+            // A single global persist chain.
             self.dep_horizon = done;
-        }
-        if self.model == Model::Bpfs {
-            self.line_last_done.insert(line, done);
         }
         *self.wear.entry(line).or_insert(0) += 1;
         self.stats.device_writes += 1;
@@ -297,15 +278,11 @@ impl ShardDevice {
         let first = Self::line_of(addr);
         let last = Self::line_of(addr.add(len.max(1) - 1));
         for line in first..=last {
-            match self.model {
-                // Store-granular persists: service immediately.
-                Model::Strict | Model::StrictRmo => self.schedule(line),
+            if self.model.persists_at_store() {
+                self.schedule(line);
+            } else if !self.dirty.contains(&line) {
                 // Flush-granular: just mark the line dirty.
-                _ => {
-                    if !self.dirty.contains(&line) {
-                        self.dirty.push(line);
-                    }
-                }
+                self.dirty.push(line);
             }
         }
     }
@@ -313,11 +290,10 @@ impl ShardDevice {
     /// A cache-line flush over `[addr, addr + len)`: under the buffered
     /// models this is where dirty lines become device writes.
     pub fn flush(&mut self, addr: MemAddr, len: u64) {
-        if matches!(self.model, Model::Strict | Model::StrictRmo) {
-            return; // already serviced at store time
-        }
-        if self.in_group {
-            return; // deferred: lines stay dirty until the closing barrier
+        if self.model.persists_at_store() || self.in_group {
+            // Already serviced at store time, or deferred: lines stay dirty
+            // until the closing barrier.
+            return;
         }
         let first = Self::line_of(addr);
         let last = Self::line_of(addr.add(len.max(1) - 1));
@@ -333,29 +309,23 @@ impl ShardDevice {
         }
     }
 
-    /// A persist fence: later persists wait for everything fenced here —
-    /// except under BPFS, whose ordering is per-line, and strict, whose
-    /// chain already covers it.
+    /// A persist fence: later persists wait for everything fenced here
+    /// (under a total order the chain already covers it).
     pub fn fence(&mut self) {
-        if self.in_group && !matches!(self.model, Model::Strict | Model::StrictRmo) {
+        if self.in_group && !self.model.persists_at_store() {
             // Group persist: the request opted into group-granular
             // durability, so intra-group epoch boundaries dissolve into the
             // closing barrier — the amortization the batch is for.
             return;
         }
-        match self.model {
-            Model::Strict | Model::Bpfs => {}
-            _ => {
-                self.dep_horizon = self.dep_horizon.max(self.epoch_max_done);
-            }
-        }
+        self.dep_horizon = self.dep_horizon.max(self.epoch_max_done);
         self.epoch_max_done = 0.0;
     }
 
     /// A strand barrier (§5.3): under strand persistency the accumulated
     /// dependences vanish — the next persist only contends for banks.
     pub fn strand(&mut self) {
-        if self.model == Model::Strand {
+        if self.model.strand_scoped() {
             self.dep_horizon = 0.0;
             self.epoch_max_done = 0.0;
         }
@@ -456,31 +426,17 @@ mod tests {
 
     #[test]
     fn epoch_fence_orders_epochs() {
-        let mut d = dev(Model::Epoch, 64);
-        d.begin_op(0.0);
-        d.store(addr(0), 8);
-        d.flush(addr(0), 8);
-        d.fence();
-        d.store(addr(1), 8);
-        d.flush(addr(1), 8);
-        assert_eq!(d.end_op(0.0), 200.0); // second epoch after the first
-    }
-
-    #[test]
-    fn bpfs_orders_only_same_line() {
-        let mut d = dev(Model::Bpfs, 64);
-        d.begin_op(0.0);
-        d.store(addr(0), 8);
-        d.flush(addr(0), 8);
-        d.fence();
-        d.store(addr(1), 8); // different line: unordered
-        d.flush(addr(1), 8);
-        assert_eq!(d.end_op(0.0), 100.0);
-        d.fence();
-        d.begin_op(0.0);
-        d.store(addr(0), 8); // same line as the first: chained
-        d.flush(addr(0), 8);
-        assert_eq!(d.end_op(0.0), 200.0);
+        // BPFS orders a one-thread stream exactly like epoch.
+        for model in [Model::Epoch, Model::Bpfs] {
+            let mut d = dev(model, 64);
+            d.begin_op(0.0);
+            d.store(addr(0), 8);
+            d.flush(addr(0), 8);
+            d.fence();
+            d.store(addr(1), 8); // other line, other bank: still ordered
+            d.flush(addr(1), 8);
+            assert_eq!(d.end_op(0.0), 200.0, "{model}: second epoch after the first");
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! operation is durable, so persist stalls cost real wall time. Reported
 //! latency is `durable − arrival` either way.
 
-use crate::device::{buffered, DeviceStats};
+use crate::device::DeviceStats;
 use crate::gen::{shard_of, Op, OpKind, OpStream, Zipfian};
 use crate::shard::{Shard, StoreKind};
 use nvram::DeviceConfig;
@@ -110,8 +110,9 @@ impl ServeConfig {
     ///
     /// Describes the first invalid field: zero shards, keys, queue depth,
     /// batch size or banks, a Zipfian skew outside `[0, 1)`, a get ratio
-    /// outside `[0, 1]`, or an arrival rate that is not a positive finite
-    /// number.
+    /// outside `[0, 1]`, an arrival rate or write latency that is not a
+    /// positive finite number, a CPU cost or batch wait that is negative or
+    /// not finite, or an interleave that is not a power of two.
     pub fn validate(&self) -> Result<(), String> {
         for (flag, n) in [
             ("--shards", self.shards as u64),
@@ -130,9 +131,19 @@ impl ServeConfig {
         if !(0.0..=1.0).contains(&self.get_ratio) {
             return Err(format!("--get-ratio must be in [0, 1], got {}", self.get_ratio));
         }
-        if !(self.rate_ops_per_sec > 0.0 && self.rate_ops_per_sec.is_finite()) {
-            let rate = self.rate_ops_per_sec;
-            return Err(format!("--rate must be positive and finite, got {rate}"));
+        for (flag, x) in [("--rate", self.rate_ops_per_sec), ("--latency", self.write_latency_ns)] {
+            if !(x > 0.0 && x.is_finite()) {
+                return Err(format!("{flag} must be positive and finite, got {x}"));
+            }
+        }
+        for (flag, x) in [("--cpu-ns", self.cpu_ns), ("--batch-wait-ns", self.batch_wait_ns)] {
+            if !(x >= 0.0 && x.is_finite()) {
+                return Err(format!("{flag} must be non-negative and finite, got {x}"));
+            }
+        }
+        if !self.interleave_bytes.is_power_of_two() {
+            let bytes = self.interleave_bytes;
+            return Err(format!("--interleave must be a power of two, got {bytes}"));
         }
         Ok(())
     }
@@ -489,6 +500,7 @@ fn dispatch_batch(
     if batch.is_empty() {
         return;
     }
+    let buffered = !model.persists_at_store();
     out.batches += 1;
     let dispatch = dispatch_at.max(*thread_free);
     if batch.len() == 1 {
@@ -499,7 +511,7 @@ fn dispatch_batch(
         let complete = shard.dev.end_op(cpu_done);
         // Buffered models release the shard thread at CPU speed; the
         // strict models hold it until durability.
-        *thread_free = if buffered(model) { cpu_done } else { complete };
+        *thread_free = if buffered { cpu_done } else { complete };
         out.observe(&op, dispatch, cpu_done, complete, tel);
         inflight.push(Reverse(complete.ceil() as u64));
         batch.clear();
@@ -516,7 +528,7 @@ fn dispatch_batch(
         let op_durable = shard.dev.end_op(cpu_done);
         // Back-to-back execution: buffered models run the next request at
         // CPU speed, strict models hold the thread to durability per op.
-        cpu = if buffered(model) { cpu_done } else { op_durable };
+        cpu = if buffered { cpu_done } else { op_durable };
         slots.push((*op, cpu_start, cpu_done, op_durable));
     }
     let group_done = shard.dev.end_group(cpu);
@@ -536,7 +548,7 @@ fn dispatch_batch(
         // Group durability: buffered requests respond when the group's
         // closing barrier lands; strict requests were already durable at
         // their own chained persists.
-        let complete = if buffered(model) { group_done.max(*cpu_done) } else { *op_durable };
+        let complete = if buffered { group_done.max(*cpu_done) } else { *op_durable };
         out.observe(op, *cpu_start, *cpu_done, complete, tel);
         inflight.push(Reverse(complete.ceil() as u64));
     }
@@ -647,6 +659,7 @@ fn wall_dispatch(
     if slot.batch.is_empty() {
         return;
     }
+    let buffered = !model.persists_at_store();
     slot.out.batches += 1;
     let grouped = slot.batch.len() > 1;
     let dispatch = start.elapsed().as_nanos() as f64;
@@ -660,7 +673,7 @@ fn wall_dispatch(
         slot.shard.execute(op);
         let cpu_done = start.elapsed().as_nanos() as f64;
         let op_durable = slot.shard.dev.end_op(cpu_done);
-        if !buffered(model) {
+        if !buffered {
             // Unbuffered front end: the worker stalls until durability.
             while (start.elapsed().as_nanos() as f64) < op_durable {
                 std::hint::spin_loop();
@@ -689,7 +702,7 @@ fn wall_dispatch(
     // group close lands on the response path as completion time.
     for (op, cpu_start, cpu_done, op_durable) in recs.iter() {
         let complete =
-            if buffered(model) && grouped { group_done.max(*cpu_done) } else { *op_durable };
+            if buffered && grouped { group_done.max(*cpu_done) } else { *op_durable };
         slot.out.observe(op, *cpu_start, *cpu_done, complete, &mut slot.tel);
         slot.inflight.push(Reverse(complete.ceil() as u64));
     }

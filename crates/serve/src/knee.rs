@@ -232,9 +232,9 @@ pub fn knee_json(
         .with("banks", cfg.banks)
         .with("write_latency_ns", Value::fixed(cfg.write_latency_ns, 0))
         .with("seed", cfg.seed)
-        .with("shed_frac_max", Value::fixed(knee.shed_frac, 2))
-        .with("p99_limit_ns", Value::fixed(knee.p99_limit_ns, 0))
-        .with("rate_floor", Value::fixed(knee.rate_floor, 0))
+        .with("shed_frac_max", knee.shed_frac)
+        .with("p99_limit_ns", knee.p99_limit_ns)
+        .with("rate_floor", knee.rate_floor)
         .with("probes", knee.probes);
     let models = results.iter().map(|k| {
         let r = &k.report;

@@ -50,6 +50,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 mod builder;
 mod event;

@@ -47,14 +47,22 @@ mod sys {
         len: usize,
     }
 
-    // The mapping is immutable shared memory; the raw pointer is owned.
+    // SAFETY: the mapping is read-only and private, so no thread can
+    // observe a write through it; the pointer is owned by this `Map` and
+    // unmapped exactly once, in `Drop`.
     unsafe impl Send for Map {}
+    // SAFETY: as for `Send`: shared access only ever reads immutable bytes.
     unsafe impl Sync for Map {}
 
     impl Map {
         /// Maps `len` bytes of `fd` read-only. `len` must be nonzero.
         pub fn new(fd: i32, len: usize) -> io::Result<Map> {
             let ret: isize;
+            // SAFETY: `mmap` with a null hint and no `MAP_FIXED` only ever
+            // creates a fresh mapping, so it cannot disturb existing memory
+            // whatever `fd` and `len` are (bad ones return an error code).
+            // The asm declares every register the kernel writes (`rax`,
+            // `rcx`, `r11`) and touches no stack.
             unsafe {
                 std::arch::asm!(
                     "syscall",
@@ -86,6 +94,9 @@ mod sys {
     impl Drop for Map {
         fn drop(&mut self) {
             let _ret: isize;
+            // SAFETY: unmaps exactly the region `new` mapped, once; no
+            // slice from `as_slice` can outlive `self`, so nothing still
+            // points into it. Registers are declared as for `mmap`.
             unsafe {
                 std::arch::asm!(
                     "syscall",

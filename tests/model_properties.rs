@@ -14,6 +14,7 @@ enum Step {
     Store(u8),
     Load(u8),
     VolatileStore(u8),
+    VolatileLoad(u8),
     Barrier,
     Strand,
 }
@@ -23,6 +24,19 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         4 => (0u8..16).prop_map(Step::Store),
         2 => (0u8..16).prop_map(Step::Load),
         1 => (0u8..16).prop_map(Step::VolatileStore),
+        2 => Just(Step::Barrier),
+        1 => Just(Step::Strand),
+    ]
+}
+
+/// [`step_strategy`] plus volatile loads: every access kind a one-thread
+/// serial stream can carry.
+fn serial_step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        4 => (0u8..16).prop_map(Step::Store),
+        2 => (0u8..16).prop_map(Step::Load),
+        1 => (0u8..16).prop_map(Step::VolatileStore),
+        1 => (0u8..16).prop_map(Step::VolatileLoad),
         2 => Just(Step::Barrier),
         1 => Just(Step::Strand),
     ]
@@ -41,6 +55,9 @@ fn run_program(steps: &[Step]) -> mem_trace::Trace {
                     ctx.load_u64(base.add(8 * slot as u64));
                 }
                 Step::VolatileStore(slot) => ctx.store_u64(vbase.add(8 * slot as u64), i as u64),
+                Step::VolatileLoad(slot) => {
+                    ctx.load_u64(vbase.add(8 * slot as u64));
+                }
                 Step::Barrier => ctx.persist_barrier(),
                 Step::Strand => ctx.new_strand(),
             }
@@ -164,6 +181,23 @@ proptest! {
             prop_assert_eq!(rep.stats.persist_ops, dag.stats().persist_ops);
             prop_assert!(dag.critical_path() >= rep.critical_path);
         }
+    }
+
+    /// On one thread, BPFS orders persists exactly like epoch: they differ
+    /// only in cross-thread conflict detection. This is what lets the
+    /// serial-stream consumers (pfi's crash injector, serve's device)
+    /// treat bpfs as epoch.
+    #[test]
+    fn bpfs_equals_epoch_on_one_thread(
+        steps in prop::collection::vec(serial_step_strategy(), 1..80)
+    ) {
+        let trace = run_program(&steps);
+        let edges = |m: Model| -> Vec<(u32, u32)> {
+            PersistDag::build(&trace, &AnalysisConfig::new(m)).unwrap().edges().collect()
+        };
+        let cp = |m: Model| timing::analyze(&trace, &AnalysisConfig::new(m)).critical_path;
+        prop_assert_eq!(edges(Model::Bpfs), edges(Model::Epoch));
+        prop_assert_eq!(cp(Model::Bpfs), cp(Model::Epoch));
     }
 }
 
